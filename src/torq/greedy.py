@@ -7,10 +7,17 @@ over surviving vertices, and (for odd n) the signed parity disparity:
 the number of surviving odd-centered S vertices minus odd-centered D
 vertices, which changes only when a single-wrap edge is removed.
 
+The process keeps O(n) state: per part, a vertex-alive mask and the
+vertex degrees.  An edge is alive exactly when all its vertices are, so
+Q(i) is the sum of the row degrees; a uniform live edge is a row drawn
+with probability proportional to its degree, then a uniform live column
+of that row.
+
 Reference curves: with p(i) = 1 - 4i/|V(0)| the process tracks
 Q(i) ~ n^2 p^4 and degrees ~ n p^3, with error envelopes
 e_q = 2(1 - 4 ln p) b n^2 and e_d = 2(1 - 4 ln p) b^(2/3) n for a
-user-chosen envelope width b.  The per-step product of Q(i) also yields
+user-chosen envelope width b (infinite at p = 0, reached when a run ends
+in a perfect matching).  The per-step product of Q(i) also yields
 an unbiased estimator of the number of ordered perfect edge sequences,
 i.e. n! times the perfect-matching count.
 """
@@ -77,12 +84,18 @@ class Envelope:
             raise PreconditionError("b", "envelope parameter b must be positive")
 
     def e_q(self, n: int, p: float) -> float:
-        """Allowed deviation of Q(i) from n^2 p^4."""
-        return 2.0 * (1.0 - 4.0 * math.log(p)) * self.b * n * n
+        """Allowed deviation of Q(i) from n^2 p^4 (inf at p = 0, its limit)."""
+        return _widening(p) * self.b * n * n
 
     def e_d(self, n: int, p: float) -> float:
-        """Allowed deviation of any degree from n p^3."""
-        return 2.0 * (1.0 - 4.0 * math.log(p)) * self.b ** (2.0 / 3.0) * n
+        """Allowed deviation of any degree from n p^3 (inf at p = 0)."""
+        return _widening(p) * self.b ** (2.0 / 3.0) * n
+
+
+def _widening(p: float) -> float:
+    """2(1 - 4 ln p), the envelopes' common factor; a perfect matching
+    ends a run at p = 0, where the factor's limit is inf."""
+    return 2.0 * (1.0 - 4.0 * math.log(p)) if p > 0 else math.inf
 
 
 def _centered_parity(n: int) -> np.ndarray:
@@ -103,6 +116,91 @@ def _line_ids(n: int, part: Part, coord: int) -> np.ndarray:
     return t * n + (t - coord) % n
 
 
+class _LiveBoard:
+    """The surviving part of a board, held in O(n) state.
+
+    Per part, a vertex-alive mask and the degree of every vertex.  Edge
+    (x, y) is alive exactly when its X, Y, S (and D) vertices are all
+    alive, so no per-edge state exists.  Starts from the full board, on
+    which every vertex has degree n and Q = n^2.
+    """
+
+    def __init__(self, n: int, parts: tuple[Part, ...]) -> None:
+        self.n = n
+        self.parts = parts
+        self.alive = {part: np.ones(n, dtype=bool) for part in parts}
+        self.deg = {part: np.full(n, n, dtype=np.int64) for part in parts}
+        self.q = n * n
+        # mod[j] = j mod n: every coordinate sequence along a line is a
+        # slice of it, so building a line allocates nothing of size n.
+        self._mod = np.arange(3 * n) % n
+
+    def line(self, part: Part, c: int) -> tuple[dict[Part, np.ndarray], np.ndarray]:
+        """The cells on the line of live vertex (part, c): their
+        coordinates in the other parts, and 1 where the cell is live.
+
+        The cells are (c, t) on an X line and (t, .) on the others, for
+        t = 0..n-1.
+        """
+        n, m = self.n, self._mod
+        t = m[:n]
+        c_plus_t, c_minus_t = m[c : c + n], m[c + n : c : -1]
+        t_minus_c, two_t_minus_c = m[n - c : 2 * n - c], m[n - c : 3 * n - c : 2]
+        if part is Part.X:  # cells (c, t)
+            coords = {Part.Y: t, Part.S: c_plus_t, Part.D: c_minus_t}
+        elif part is Part.Y:  # cells (t, c)
+            coords = {Part.X: t, Part.S: c_plus_t, Part.D: t_minus_c}
+        elif part is Part.S:  # cells (t, c - t); D = 2t - c repeats for even n
+            coords = {Part.X: t, Part.Y: c_minus_t, Part.D: two_t_minus_c}
+        else:  # cells (t, t - c); S = 2t - c repeats for even n
+            coords = {Part.X: t, Part.Y: t_minus_c, Part.S: two_t_minus_c}
+        coords = {p: coords[p] for p in self.parts if p is not part}
+        live = np.ones(n, dtype=bool)
+        for p, idx in coords.items():
+            live &= self.alive[p][idx]
+        return coords, live.astype(np.int64)
+
+    def sample(self, r: int) -> Edge:
+        """The r-th live edge (0 <= r < Q) in (x, y) order.
+
+        The row is the x with cum[x-1] <= r < cum[x] over the cumulative
+        row degrees, drawn with probability deg_X[x]/Q; r's offset in that
+        row is then uniform over its live columns.
+        """
+        cum = np.cumsum(self.deg[Part.X])
+        x = int(np.searchsorted(cum, r, side="right"))
+        offset = r - int(cum[x]) + int(self.deg[Part.X][x])
+        _, live = self.line(Part.X, x)
+        return Edge(x, int(np.flatnonzero(live)[offset]))
+
+    def kill(self, part: Part, c: int) -> None:
+        """Delete live vertex (part, c) and the live edges through it.
+
+        np.subtract.at accumulates: on an S or D line of an even-n board
+        the other diagonal's coordinates repeat.
+        """
+        coords, live = self.line(part, c)
+        for p, idx in coords.items():
+            np.subtract.at(self.deg[p], idx, live)
+        self.q -= int(self.deg[part][c])
+        self.deg[part][c] = 0
+        self.alive[part][c] = False
+
+    def check(self) -> None:
+        """Rebuild the degrees and Q from the masks and compare."""
+        deg = {part: np.zeros(self.n, dtype=np.int64) for part in self.parts}
+        for x in np.flatnonzero(self.alive[Part.X]):
+            coords, live = self.line(Part.X, int(x))
+            deg[Part.X][x] = live.sum()
+            for p, idx in coords.items():
+                np.add.at(deg[p], idx, live)
+        for part in self.parts:
+            if not np.array_equal(self.deg[part], deg[part]):
+                raise VerificationError(f"{part.value} degrees drifted from the masks")
+        if self.q != int(deg[Part.X].sum()):
+            raise VerificationError(f"Q = {self.q} drifted from the masks")
+
+
 def run_greedy(
     g: TorusGraph, seed: int, stop_fraction: float, debug: bool = False
 ) -> GreedyTrace:
@@ -113,10 +211,11 @@ def run_greedy(
     until ceil(stop_fraction * m_max) edges are placed (m_max being the
     largest conceivable matching size) or no edges remain.  The trace
     records a StepRecord for every prefix, including the empty one.
-    Deterministic for fixed (g, seed, stop_fraction).
+    Deterministic for fixed (g, seed, stop_fraction).  Memory is O(n).
 
-    With debug=True the incrementally maintained degree arrays are
-    recomputed from scratch every 256 steps and compared.
+    With debug=True the incrementally maintained degrees are rebuilt
+    from the vertex-alive masks every 256 steps and after the last one,
+    and compared.
     """
     if g.kind is BoardKind.QUEENS_CLASSICAL:
         raise PreconditionError("kind", "greedy process runs on toroidal boards")
@@ -127,23 +226,10 @@ def run_greedy(
     k = len(parts)
     has_d = Part.D in parts
 
-    # Alive-edge mask over edge ids x*n + y, honouring punched holes.
-    alive = np.ones(n * n, dtype=bool)
-    vertex_alive = {part: np.ones(n, dtype=bool) for part in parts}
+    board = _LiveBoard(n, parts)
     for v in g.removed:
-        alive[_line_ids(n, v.part, v.coord)] = False
-        vertex_alive[v.part][v.coord] = False
-
-    ids = np.flatnonzero(alive)
-    xs, ys = ids // n, ids % n
-    deg = {
-        Part.X: np.bincount(xs, minlength=n),
-        Part.Y: np.bincount(ys, minlength=n),
-        Part.S: np.bincount((xs + ys) % n, minlength=n),
-    }
-    if has_d:
-        deg[Part.D] = np.bincount((xs - ys) % n, minlength=n)
-    q = int(ids.size)
+        board.kill(v.part, v.coord)
+    vertex_alive, deg = board.alive, board.deg
 
     v0 = g.vertex_count()
     track_parity = has_d and n % 2 == 1
@@ -157,11 +243,7 @@ def run_greedy(
     m_max = min(int(vertex_alive[part].sum()) for part in parts)
     m_target = math.ceil(stop_fraction * m_max)
 
-    # Uniform sampling by lazy deletion: draw an index into a pool of
-    # edge ids, redraw while the edge is dead, compact the pool once
-    # more than half of it is dead.
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    pool = ids
 
     def record(i: int) -> StepRecord:
         d_lo: int | None = None
@@ -173,48 +255,22 @@ def run_greedy(
                 lo = int(col.min())
                 d_lo = lo if d_lo is None else min(d_lo, lo)
                 d_hi = max(d_hi, int(col.max()))
-        return StepRecord(i, q, d_lo or 0, d_hi, disparity, 1.0 - (k * i) / v0)
+        return StepRecord(i, board.q, d_lo or 0, d_hi, disparity, 1.0 - (k * i) / v0)
 
     steps = [record(0)]
     chosen: list[Edge] = []
-    while len(chosen) < m_target and q > 0:
-        if 2 * q < pool.size:
-            pool = pool[alive[pool]]
-        while True:
-            eid = int(pool[rng.integers(pool.size)])
-            if alive[eid]:
-                break
-        x0, y0 = divmod(eid, n)
-        e = Edge(x0, y0)
-        dead = [(Part.X, x0), (Part.Y, y0), (Part.S, (x0 + y0) % n)]
-        if has_d:
-            dead.append((Part.D, (x0 - y0) % n))
-        cand = np.unique(np.concatenate([_line_ids(n, p, c) for p, c in dead]))
-        rem = cand[alive[cand]]
-        alive[rem] = False
-        q -= int(rem.size)
-        rx, ry = rem // n, rem % n
-        deg[Part.X] -= np.bincount(rx, minlength=n)
-        deg[Part.Y] -= np.bincount(ry, minlength=n)
-        deg[Part.S] -= np.bincount((rx + ry) % n, minlength=n)
-        if has_d:
-            deg[Part.D] -= np.bincount((rx - ry) % n, minlength=n)
-        for part, coord in dead:
-            vertex_alive[part][coord] = False
+    while len(chosen) < m_target and board.q > 0:
+        e = board.sample(int(rng.integers(board.q)))
+        for part in parts:
+            board.kill(part, e.coord_in(part, n))
         if track_parity:
-            disparity += int(par[(x0 - y0) % n]) - int(par[(x0 + y0) % n])
+            disparity += int(par[e.d(n)]) - int(par[e.s(n)])
         chosen.append(e)
         steps.append(record(len(chosen)))
         if debug and len(chosen) % 256 == 0:
-            live = np.flatnonzero(alive)
-            lx, ly = live // n, live % n
-            assert np.array_equal(deg[Part.X], np.bincount(lx, minlength=n))
-            assert np.array_equal(deg[Part.Y], np.bincount(ly, minlength=n))
-            assert np.array_equal(deg[Part.S], np.bincount((lx + ly) % n, minlength=n))
-            if has_d:
-                assert np.array_equal(
-                    deg[Part.D], np.bincount((lx - ly) % n, minlength=n)
-                )
+            board.check()
+    if debug:
+        board.check()
     return GreedyTrace(
         n=n,
         seed=seed,
@@ -397,6 +453,8 @@ def run_campaign(
     n: int, seeds: Sequence[int], b: float, stop_fraction: float
 ) -> dict:
     """Run one greedy trace per seed and fold the summary statistics."""
+    if len(seeds) == 0:
+        raise PreconditionError("seeds", "seeds: a campaign needs at least one seed")
     g = TorusGraph(n)
     fracs: list[float] = []
     estimates: list[float] = []

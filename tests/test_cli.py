@@ -164,6 +164,26 @@ class TestGreedy:
         assert res.returncode == 0 and res.stdout == ""
         assert path.read_text().startswith("i,Q,p,")
 
+    def test_perfect_run_ends_at_p_zero(self):
+        # Runs on T(5) and T(1) end in a perfect matching, at p = 0.
+        for n in ("5", "1"):
+            res = run_cli("greedy", "--n", n, "--stop", "1.0")
+            assert res.returncode == 0, res.stderr
+            last = [float(c) for c in res.stdout.strip().splitlines()[-1].split(",")]
+            assert last[0] == int(n) and last[2] == 0.0  # i, p
+            assert last[4] == last[8] == float("inf")  # eq, ed
+
+    def test_perfect_campaign(self):
+        res = run_cli("greedy", "--n", "5", "--seeds", "4", "--stop", "1.0")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["summary"]["inside_fraction_median"] == 1.0
+
+    def test_empty_campaign_is_rejected(self):
+        for count in ("0", "-2"):
+            res = run_cli("greedy", "--n", "5", "--seeds", count)
+            assert res.returncode == 2
+            assert "seeds" in res.stderr and "Traceback" not in res.stderr
+
 
 class TestMonsky:
     def test_agreement(self):

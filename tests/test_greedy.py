@@ -3,10 +3,12 @@ parity tracking, CSV export."""
 
 import dataclasses
 import math
+import tracemalloc
+from collections import Counter
 
 import pytest
 
-from torq.board import BoardKind, TorusGraph, verify_matching
+from torq.board import BoardKind, Edge, Part, TorusGraph, Vertex, verify_matching
 from torq.errors import PreconditionError, VerificationError
 from torq.greedy import (
     RNG_ALGORITHM,
@@ -76,35 +78,90 @@ class TestRunGreedy:
         assert exc.value.condition == "stop-fraction"
 
     def test_degree_extremes_bracket_truth(self):
-        n = 31
-        trace = run_greedy(TorusGraph(n), seed=2, stop_fraction=0.5)
+        g = TorusGraph(31)
+        trace = run_greedy(g, seed=2, stop_fraction=0.5)
+        q, d_min, d_max = brute_force_step(g, trace.matching)
         final = trace.steps[-1]
-        # Recompute degrees of surviving vertices from the matching.
-        used = {
-            "x": {e.x for e in trace.matching},
-            "y": {e.y for e in trace.matching},
-            "s": {e.s(n) for e in trace.matching},
-            "d": {e.d(n) for e in trace.matching},
-        }
-        deg = {key: [0] * n for key in used}
-        for x in range(n):
-            for y in range(n):
-                s, d = (x + y) % n, (x - y) % n
-                if (
-                    x in used["x"] or y in used["y"]
-                    or s in used["s"] or d in used["d"]
-                ):
-                    continue
-                for key, c in (("x", x), ("y", y), ("s", s), ("d", d)):
-                    deg[key][c] += 1
-        degs = [
-            deg[key][c]
-            for key in used
-            for c in range(n)
-            if c not in used[key]
-        ]
-        assert final.d_min == min(degs)
-        assert final.d_max == max(degs)
+        assert (final.q, final.d_min, final.d_max) == (q, d_min, d_max)
+
+    def test_first_pick_is_uniform_over_live_edges(self):
+        # Row degrees on this punctured board run from 2 to 5, so a
+        # sampler that picked rows uniformly would be far off.
+        holes = [(Part.Y, 0), (Part.Y, 1), (Part.S, 1), (Part.D, 0), (Part.D, 6)]
+        g = TorusGraph(7, removed=frozenset(Vertex(p, c) for p, c in holes))
+        live = [e for x in range(7) for y in range(7) if g.has_edge(e := Edge(x, y))]
+        assert len(live) == 21
+        assert sorted(Counter(e.x for e in live).values()) == [2, 2, 2, 3, 3, 4, 5]
+        trials = 10_000
+        picks = Counter(run_greedy(g, s, 0.1).matching.edges[0] for s in range(trials))
+        assert set(picks) <= set(live)
+        expected = trials / len(live)
+        chi2 = sum((picks[e] - expected) ** 2 / expected for e in live)
+        # 99.9% point of chi-square with 20 degrees of freedom.
+        assert chi2 < 45.31
+
+    def test_memory_is_linear_in_n(self):
+        # One n^2 array at n = 3001 takes 8.6 MiB even as booleans.
+        tracemalloc.start()
+        try:
+            run_greedy(TorusGraph(3001), 0, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_perfect_run_ends_at_p_zero(self):
+        # Every greedy run on T(5) ends in a perfect matching.
+        trace = run_greedy(TorusGraph(5), seed=0, stop_fraction=1.0)
+        assert len(trace.matching) == 5 and trace.steps[-1].p == 0.0
+        report = envelope_check(trace, b=0.05)
+        assert report.inside[-1] and report.inside_fraction == 1.0
+        last = trace_to_csv(trace, b=0.05).strip().splitlines()[-1].split(",")
+        assert float(last[4]) == math.inf and float(last[8]) == math.inf
+
+
+def brute_force_step(g: TorusGraph, placed) -> tuple[int, int, int]:
+    """(Q, d_min, d_max) after placing the given edges on g, by looking at
+    every cell of the board."""
+    used = {v for e in placed for v in g.edge_vertices(e)}
+    deg = Counter()
+    q = 0
+    for x in range(g.n):
+        for y in range(g.n):
+            e = Edge(x, y)
+            vs = g.edge_vertices(e)
+            if g.has_edge(e) and not used.intersection(vs):
+                q += 1
+                deg.update(vs)
+    degs = [deg[v] for v in g.vertices() if v not in used]
+    return q, min(degs, default=0), max(degs, default=0)
+
+
+def _reference_boards() -> list:
+    boards = []
+    for n in range(12, 18):  # every class of n mod 6, odd and even
+        for kind in (BoardKind.QUEENS_TOROIDAL, BoardKind.SEMIQUEENS_TOROIDAL):
+            holes = {Vertex(Part.X, 1), Vertex(Part.Y, n - 2), Vertex(Part.S, 3)}
+            if kind is BoardKind.QUEENS_TOROIDAL:
+                holes.add(Vertex(Part.D, 0))
+            for removed in (frozenset(), frozenset(holes)):
+                boards.append(pytest.param(
+                    TorusGraph(n, kind, removed),
+                    id=f"n{n}-{kind.value}-{'punctured' if removed else 'full'}",
+                ))
+    return boards
+
+
+@pytest.mark.parametrize("g", _reference_boards())
+class TestReferenceBoards:
+    def test_steps_match_brute_force(self, g):
+        trace = run_greedy(g, seed=g.n, stop_fraction=1.0)
+        for rec in trace.steps:
+            placed = trace.matching.edges[: rec.i]
+            assert (rec.q, rec.d_min, rec.d_max) == brute_force_step(g, placed)
+
+    def test_debug_mode_agrees(self, g):
+        assert run_greedy(g, 1, 1.0, debug=True) == run_greedy(g, 1, 1.0)
 
 
 class TestEnvelope:
@@ -218,3 +275,8 @@ class TestCampaign:
         s = out["summary"]
         assert 0.0 <= s["inside_fraction_median"] <= 1.0
         assert s["estimate_mean_log"] > 0.0
+
+    def test_rejects_empty_seeds(self):
+        with pytest.raises(PreconditionError) as exc:
+            run_campaign(51, seeds=[], b=0.05, stop_fraction=0.5)
+        assert exc.value.condition == "seeds"
