@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
+from .errors import PreconditionError
+
 
 class Part(str, Enum):
     X = "X"
@@ -195,7 +197,7 @@ class TorusGraph:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError("board side must be >= 1")
+            raise PreconditionError("n", "board side must be >= 1")
         for v in self.removed:
             if v.part not in self.parts():
                 raise ValueError(f"removed vertex {v} not on this board")

@@ -243,7 +243,10 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as ex:
         ex.show(file=sys.stderr)
         return 2
-    except (PreconditionError, ValueError) as ex:
+    except PreconditionError as ex:
+        print(f"error: {ex.condition}: {ex}", file=sys.stderr)
+        return 2
+    except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except CapacityError as ex:

@@ -6,6 +6,14 @@ Monsky's closed form; and the removed-vertex construction that turns a
 perfect matching of a punctured torus into a classical n-queens
 placement whose only toroidal attacks are six pairs among twelve fixed
 queens (three pairs on each diagonal family).
+
+Every search keeps its state in int bitmasks: used columns and diagonal
+classes (toroidal diagonals are read per row by rotating the mask with
+``_rot``), the WSet search's used elements and classes, and in the
+punctured-torus DFS one int whose column, sum and difference bits each
+candidate square is tested against in one AND.  Search budgets count
+restarts and nodes, so the answer never depends on machine speed; wall
+clock only aborts a run.
 """
 
 from __future__ import annotations
@@ -32,6 +40,12 @@ from .lattice import Verdict, check_lattice_queens, sv
 DEFAULT_EXHAUSTIVE_BOUND = 13
 #: Largest n for the maximum-partial branch and bound by default.
 DEFAULT_PARTIAL_BOUND = 16
+
+
+def _rot(mask: int, k: int, n: int, full: int) -> int:
+    """Bit c of the result is bit (c + k) mod n of the n-bit mask, for
+    0 <= k <= n; full is (1 << n) - 1."""
+    return ((mask >> k) | (mask << (n - k))) & full
 
 
 def _check_n(n: int, bound: int | None, default: int) -> None:
@@ -74,21 +88,25 @@ def count_toroidal(n: int, bound: int | None = None) -> int:
 
 
 def toroidal_solutions(n: int, bound: int | None = None) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield every toroidal n-queens solution as a row-ordered placement."""
+    """Yield every toroidal n-queens solution as a row-ordered placement,
+    in lexicographic order of the column sequence."""
     _check_n(n, bound, DEFAULT_EXHAUSTIVE_BOUND)
+    full = (1 << n) - 1
     queens: list[tuple[int, int]] = []
 
-    def rec(r: int, cols: int, sused: int, dused: int):
+    # su is indexed by (r + c) mod n and nd by (c - r) mod n, so rotating
+    # them by r and n - r gives the columns row r may not use.
+    def rec(r: int, cols: int, su: int, nd: int):
         if r == n:
             yield tuple(queens)
             return
-        for c in range(n):
-            s, d = (r + c) % n, (r - c) % n
-            probe = (cols >> c | sused >> s | dused >> d) & 1
-            if probe:
-                continue
+        avail = full & ~(cols | _rot(su, r, n, full) | _rot(nd, n - r, n, full))
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            c = bit.bit_length() - 1
             queens.append((r, c))
-            yield from rec(r + 1, cols | 1 << c, sused | 1 << s, dused | 1 << d)
+            yield from rec(r + 1, cols | bit, su | 1 << (r + c) % n, nd | 1 << (c - r) % n)
             queens.pop()
 
     yield from rec(0, 0, 0, 0)
@@ -100,21 +118,35 @@ def count_semiqueens(n: int, mode: str = "toroidal", bound: int | None = None) -
     _check_n(n, bound, DEFAULT_EXHAUSTIVE_BOUND)
     if mode not in ("toroidal", "classical"):
         raise PreconditionError("mode", f"unknown mode {mode!r}")
-    toroidal = mode == "toroidal"
     full = (1 << n) - 1
 
-    def rec(r: int, cols: int, sused: int) -> int:
-        if cols == full:
+    # su is indexed by (r + c) mod n: rotating it by r gives row r's
+    # blocked columns.
+    def rec_toroidal(r: int, cols: int, su: int) -> int:
+        if r == n:
             return 1
         count = 0
-        for c in range(n):
-            s = (r + c) % n if toroidal else r + c
-            if (cols >> c | sused >> s) & 1:
-                continue
-            count += rec(r + 1, cols | 1 << c, sused | 1 << s)
+        avail = full & ~(cols | _rot(su, r, n, full))
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            count += rec_toroidal(r + 1, cols | bit, su | 1 << (r + bit.bit_length() - 1) % n)
         return count
 
-    return rec(0, 0, 0)
+    # su is indexed by r + c in 0..2n-2: shifting it down by r gives row
+    # r's blocked columns.
+    def rec_classical(r: int, cols: int, su: int) -> int:
+        if r == n:
+            return 1
+        count = 0
+        avail = full & ~(cols | su >> r)
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            count += rec_classical(r + 1, cols | bit, su | bit << r)
+        return count
+
+    return rec_toroidal(0, 0, 0) if mode == "toroidal" else rec_classical(0, 0, 0)
 
 
 def monsky_value(n: int) -> int:
@@ -141,11 +173,6 @@ def max_partial_toroidal(n: int, bound: int | None = None) -> int:
         return 1
     full = (1 << n) - 1
 
-    def rot(mask: int, k: int) -> int:
-        # bit c of the result is bit (c + k) mod n of mask
-        k %= n
-        return ((mask >> k) | (mask << (n - k))) & full
-
     def feasible(m: int) -> bool:
         # su is indexed by (r + c) mod n; nd by (c - r) mod n, which makes
         # both row-queryable by rotation.
@@ -154,7 +181,7 @@ def max_partial_toroidal(n: int, bound: int | None = None) -> int:
                 return True
             if n - r < m - placed:
                 return False
-            avail = full & ~(cols | rot(su, r) | rot(nd, n - r))
+            avail = full & ~(cols | _rot(su, r, n, full) | _rot(nd, n - r, n, full))
             while avail:
                 bit = avail & -avail
                 avail ^= bit
@@ -217,7 +244,9 @@ class WSet:
 
 def _wset_case(n: int) -> tuple[str, int]:
     if n % 6 in (1, 5):
-        raise PreconditionError("case", "n = 1,5 mod 6 needs no removed vertices")
+        raise PreconditionError(
+            "case", f"n={n} is 1 or 5 mod 6, which needs no removed vertices"
+        )
     if n % 2 == 0 and n % 3 == 0:
         return "even-3div", n // 6
     if n % 2 == 0:
@@ -265,25 +294,31 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
     ascending order; prunes on element distinctness, on distinctness
     mod n of the twelve sum and twelve difference diagonal classes, on
     the case congruence once all a, b, c, d are fixed, and on having
-    enough disjoint small-sum pairs left for the remaining octets.
+    enough disjoint small-sum pairs left for the remaining octets.  The
+    used elements and diagonal classes are bitmasks passed down the
+    recursion; every (a, b) probe counts as one node against node_limit.
     """
     if n < 26:
         raise PreconditionError("n", "need n >= 26 for 24 distinct elements")
     case, delta = _wset_case(n)
     half = n // 2
-    used: set[int] = set()
-    svals: set[int] = set()
-    dvals: set[int] = set()
+    # The congruence depends on sum(a_i+b_i+c_i-d_i) only mod 12.
+    congruent = [_congruence_holds(n, case, t) for t in range(12)]
+    elements = (1 << (n + 1)) - 2
     octets: list[tuple[int, ...]] = []
     nodes = 0
 
-    def small_pairs_available(needed: int) -> bool:
+    # In the masks below, bit e of used is element e of 1..n, and bit v
+    # of svals / dvals is sum / difference class v mod n.  As 0 < delta
+    # < n, the two classes a pair adds to one family always differ.
+
+    def small_pairs_available(needed: int, used: int) -> bool:
         # Each octet still to build consumes a distinct pair of elements
         # with sum at most n//2; a two-pointer scan over the free
         # elements counts the largest number of disjoint such pairs.
         if needed <= 0:
             return True
-        free = sorted(e for e in range(1, half + 1) if e not in used)
+        free = [e for e in range(1, half + 1) if not used >> e & 1]
         lo, hi, pairs = 0, len(free) - 1, 0
         while lo < hi:
             if free[lo] + free[hi] <= half:
@@ -292,94 +327,100 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
             hi -= 1
         return pairs >= needed
 
-    def octet(i: int) -> Iterator[None]:
+    def octet(i: int, used: int, svals: int, dvals: int) -> Iterator[None]:
         nonlocal nodes
         for a in range(1, half):
-            if a in used:
+            if used >> a & 1:
                 continue
             for b in range(1, half - a + 1):
                 nodes += 1
                 if nodes > node_limit:
                     raise CapacityError(f"WSet search exceeded {node_limit} nodes")
-                if b in used or b == a:
+                if used >> b & 1 or b == a:
                     continue
-                s_ab = [(a + b) % n, (a + b + delta) % n]
-                if len(set(s_ab)) < 2 or svals.intersection(s_ab):
+                s_ab = 1 << (a + b) % n | 1 << (a + b + delta) % n
+                if svals & s_ab:
                     continue
-                d_ab = (a - b) % n
-                if d_ab in dvals:
+                d_ab = 1 << (a - b) % n
+                if dvals & d_ab:
                     continue
-                svals.update(s_ab)
-                dvals.add(d_ab)
-                used.update((a, b))
-                if small_pairs_available(2 - i):
-                    yield from _octet_x(i, a, b)
-                used.difference_update((a, b))
-                svals.difference_update(s_ab)
-                dvals.discard(d_ab)
+                u = used | 1 << a | 1 << b
+                if small_pairs_available(2 - i, u):
+                    yield from _octet_x(i, a, b, u, svals | s_ab, dvals | d_ab)
 
-    def _octet_x(i: int, a: int, b: int) -> Iterator[None]:
+    def _octet_x(
+        i: int, a: int, b: int, used: int, svals: int, dvals: int
+    ) -> Iterator[None]:
         for x in range(a + b, n + 1):
             y = a + b + n - x
-            if x in used or y in used or x == y:
+            if used >> x & 1 or used >> y & 1 or x == y:
                 continue
-            d_xy = (x - y) % n
-            if d_xy in dvals:
+            d_xy = 1 << (x - y) % n
+            if dvals & d_xy:
                 continue
-            dvals.add(d_xy)
-            used.update((x, y))
-            yield from _octet_cd(i, a, b, x, y)
-            used.difference_update((x, y))
-            dvals.discard(d_xy)
+            yield from _octet_cd(
+                i, a, b, x, y, used | 1 << x | 1 << y, svals, dvals | d_xy
+            )
 
-    def _octet_cd(i: int, a: int, b: int, x: int, y: int) -> Iterator[None]:
-        for c in range(1, n + 1):
-            if c in used:
+    def _octet_cd(
+        i: int, a: int, b: int, x: int, y: int, used: int, svals: int, dvals: int
+    ) -> Iterator[None]:
+        free = elements & ~used
+        svals2 = svals | svals << n  # bit v is class v mod n, for v < 2n
+        if i == 2:
+            base = sum(t[0] + t[1] + t[4] - t[5] for t in octets) + a + b
+        # Bit half - t of diffs is set when the difference t = c - d in
+        # 1..half passes every test that does not involve c itself.
+        diffs = 0
+        for t in range(1, half + 1):
+            if dvals >> t & 1 or dvals >> (t + delta) % n & 1:
                 continue
-            for d in range(max(1, c - half), c):
-                if d in used:
-                    continue
-                if i == 2:
-                    total = sum(t[0] + t[1] + t[4] - t[5] for t in octets)
-                    if not _congruence_holds(n, case, total + a + b + c - d):
-                        continue
-                s_cd = (c + d) % n
-                if s_cd in svals:
-                    continue
-                d_cd = [(c - d) % n, (c - d + delta) % n]
-                if len(set(d_cd)) < 2 or dvals.intersection(d_cd):
-                    continue
-                svals.add(s_cd)
-                dvals.update(d_cd)
-                used.update((c, d))
-                yield from _octet_w(i, a, b, x, y, c, d)
-                used.difference_update((c, d))
-                svals.discard(s_cd)
-                dvals.difference_update(d_cd)
+            if i == 2 and not congruent[(base + t) % 12]:
+                continue
+            diffs |= 1 << (half - t)
+        cs = free
+        while cs:
+            cbit = cs & -cs
+            cs ^= cbit
+            c = cbit.bit_length() - 1
+            # d = c - t ascending, free, with (c + d) mod n unused.
+            ds = diffs << c >> half & free & ~(svals2 >> c)
+            while ds:
+                dbit = ds & -ds
+                ds ^= dbit
+                d = dbit.bit_length() - 1
+                yield from _octet_w(
+                    i, a, b, x, y, c, d, used | cbit | dbit,
+                    svals | 1 << (c + d) % n,
+                    dvals | 1 << (c - d) | 1 << (c - d + delta) % n,
+                )
 
     def _octet_w(
-        i: int, a: int, b: int, x: int, y: int, c: int, d: int
+        i: int, a: int, b: int, x: int, y: int, c: int, d: int,
+        used: int, svals: int, dvals: int,
     ) -> Iterator[None]:
-        for w in range(1, c - d + 1):
-            z = w + n - (c - d)
-            if w in used or z in used:
+        t = c - d
+        free = elements & ~used
+        # w in 1..t with z = w + n - t free as well.
+        ws = free & free >> (n - t) & (2 << t) - 2
+        while ws:
+            wbit = ws & -ws
+            ws ^= wbit
+            w = wbit.bit_length() - 1
+            z = w + n - t
+            s_wz = 1 << (w + z) % n
+            if svals & s_wz:
                 continue
-            s_wz = (w + z) % n
-            if s_wz in svals:
-                continue
-            svals.add(s_wz)
-            used.update((w, z))
+            u = used | wbit | 1 << z
             octets.append((a, b, x, y, c, d, w, z))
-            if small_pairs_available(2 - i):
+            if small_pairs_available(2 - i, u):
                 if i == 2:
                     yield None
                 else:
-                    yield from octet(i + 1)
+                    yield from octet(i + 1, u, svals | s_wz, dvals)
             octets.pop()
-            used.difference_update((w, z))
-            svals.discard(s_wz)
 
-    for _ in octet(0):
+    for _ in octet(0, 0, 0, 0):
         tuples = tuple(octets)
         wset = WSet(n, case, tuples, delta, _removed_vertices(n, tuples, delta))
         _verify_wset(wset)
@@ -514,45 +555,44 @@ def extend_classical(
         rng = Random((seed << 20) + restart)
         order = rows[:]
         rng.shuffle(order)
-        col_order = {r: rng.sample(cols, len(cols)) for r in order}
-        used_c: set[int] = set()
-        used_s: set[int] = set()
-        used_d: set[int] = set()
-        chosen: list[Edge] = []
+        # One candidate list per row, in the shuffled column order, with
+        # squares on removed diagonals dropped.  Each mask packs the
+        # square's column, sum and difference bits into one int, so a
+        # square is free exactly when it shares no bit with used.
+        choices = []
+        for r in order:
+            row = []
+            for c in rng.sample(cols, len(cols)):
+                s, d = (r + c) % n, (r - c) % n
+                if s not in removed[Part.S] and d not in removed[Part.D]:
+                    row.append((r, c, 1 << c | 1 << (n + s) | 1 << (2 * n + d)))
+            choices.append(row)
+        chosen: list[tuple[int, int, int]] = []
         nodes = 0
         truncated = False
 
-        def rec(idx: int) -> bool:
+        def rec(idx: int, used: int) -> bool:
             nonlocal nodes, truncated
-            if idx == len(order):
+            if idx == len(choices):
                 return True
             nodes += 1
             if nodes > node_cap or time.monotonic() > deadline:
                 truncated = True
                 return False
-            r = order[idx]
-            for c in col_order[r]:
-                if c in used_c:
+            for square in choices[idx]:
+                mask = square[2]
+                if used & mask:
                     continue
-                s, d = (r + c) % n, (r - c) % n
-                if s in removed[Part.S] or d in removed[Part.D]:
-                    continue
-                if s in used_s or d in used_d:
-                    continue
-                used_c.add(c)
-                used_s.add(s)
-                used_d.add(d)
-                chosen.append(Edge(r, c))
-                if rec(idx + 1):
+                chosen.append(square)
+                if rec(idx + 1, used | mask):
                     return True
                 chosen.pop()
-                used_c.discard(c)
-                used_s.discard(s)
-                used_d.discard(d)
             return False
 
-        if rec(0):
-            return _assemble_extension(n, w, Matching.of(chosen))
+        if rec(0, 0):
+            return _assemble_extension(
+                n, w, Matching.of([Edge(r, c) for r, c, _ in chosen])
+            )
         if not truncated:
             # The restart ran to exhaustion: this punctured torus has no
             # perfect matching at all, so further restarts are pointless.
@@ -569,29 +609,31 @@ def extend_classical_search(
     n: int,
     budget_seconds: float = 60.0,
     seed: int = 0,
-    per_wset_seconds: float = 1.0,
+    restarts_per_wset: int = 8,
 ) -> ClassicalExtension:
     """Classical extension over successive WSets within a time budget.
 
     At desk scale the lexicographically smallest WSet often leaves a
     punctured torus with no perfect matching at all, so this walks the
-    WSets in lexicographic order, giving each a short slice of the
-    budget (provably empty punctured tori are dismissed in one
-    exhausted restart).  Deterministic given (n, seed).
+    WSets in lexicographic order, giving each at most restarts_per_wset
+    restarts of extend_classical's node-capped DFS (provably empty
+    punctured tori are dismissed in one exhausted restart).  The answer
+    depends only on (n, seed, restarts_per_wset); running out of
+    budget_seconds aborts the walk with CapacityError, it never moves on
+    to another WSet.
     """
     deadline = time.monotonic() + budget_seconds
     for w in wset_candidates(n):
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            break
         try:
             return extend_classical(
-                n, w, budget_seconds=min(per_wset_seconds, remaining), seed=seed
+                n, w, budget_seconds=deadline - time.monotonic(),
+                max_restarts=restarts_per_wset, seed=seed,
             )
         except CapacityError:
-            continue
+            if time.monotonic() > deadline:
+                break
     raise CapacityError(
-        f"no extendable removed-vertex set found within budget for n={n}"
+        f"no extendable removed-vertex set found within {budget_seconds} s for n={n}"
     )
 
 

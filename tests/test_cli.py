@@ -198,13 +198,26 @@ class TestMonsky:
 
 
 class TestExtend:
+    # The answer is the 170th WSet at n=30, found at its second restart;
+    # it does not depend on how fast the machine walks the WSets.
+    PINNED = (
+        '{"fixed_queens":[[0,1],[2,29],[13,7],[4,28],[3,9],[19,23],[24,15],'
+        '[6,27],[5,8],[22,21],[26,11],[10,25]],"mode":"classical","n":30,'
+        '"queens":[[0,1],[2,29],[13,7],[4,28],[3,9],[19,23],[24,15],[6,27],'
+        '[5,8],[22,21],[26,11],[10,25],[18,10],[12,14],[28,12],[29,16],'
+        '[17,17],[1,24],[27,22],[25,4],[9,5],[14,2],[20,18],[23,0],[21,3],'
+        '[15,26],[7,20],[16,6],[8,13],[11,19]],"schema":"torq/1",'
+        '"toroidal_attack_pairs":[[0,1],[2,3],[4,5],[6,7],[8,9],[10,11]]}\n'
+    )
+
     def test_search_produces_valid_placement(self):
-        res = run_cli("extend", "--n", "30", "--timeout", "180")
+        res = run_cli("extend", "--n", "30", "--seed", "0", "--timeout", "180")
         assert res.returncode == 0
         obj = json.loads(res.stdout)
         assert obj["mode"] == "classical" and len(obj["queens"]) == 30
         assert len(obj["fixed_queens"]) == 12
         assert len(obj["toroidal_attack_pairs"]) == 6
+        assert res.stdout == self.PINNED
 
 
 class TestErrors:
@@ -213,3 +226,16 @@ class TestErrors:
 
     def test_missing_required_flag(self):
         assert run_cli("count").returncode == 2
+
+    def test_precondition_names_the_field(self):
+        for args, field in (
+            (("count", "--n", "0"), "n"),
+            (("monsky", "--n", "0"), "n"),
+            (("greedy", "--n", "0"), "n"),
+            (("extend", "--n", "0"), "n"),
+            (("extend", "--n", "29"), "case"),
+        ):
+            res = run_cli(*args)
+            assert res.returncode == 2 and res.stdout == "", args
+            assert res.stderr.startswith(f"error: {field}: "), (args, res.stderr)
+        assert "n=29" in res.stderr

@@ -13,6 +13,7 @@ from torq.solvers import (
     count_semiqueens,
     count_toroidal,
     extend_classical,
+    extend_classical_search,
     max_partial_toroidal,
     monsky_value,
     toroidal_solutions,
@@ -24,11 +25,47 @@ from torq.solvers import (
 
 from wset_data import EXTENDABLE_TUPLES
 
+# The first three WSets wset_candidates(n) yields, in order.
+FIRST_WSETS = {
+    28: (((1, 2, 3, 28, 18, 12, 5, 27), (6, 8, 19, 23, 22, 13, 7, 26),
+          (9, 4, 21, 20, 24, 10, 11, 25)),
+         ((1, 2, 3, 28, 18, 12, 5, 27), (6, 8, 19, 23, 22, 13, 7, 26),
+          (9, 4, 21, 20, 25, 11, 10, 24)),
+         ((1, 2, 3, 28, 18, 12, 5, 27), (6, 8, 19, 23, 24, 10, 11, 25),
+          (9, 4, 21, 20, 22, 13, 7, 26))),
+    30: (((1, 2, 3, 30, 14, 7, 6, 29), (4, 11, 20, 25, 22, 8, 10, 26),
+          (5, 9, 21, 23, 27, 12, 13, 28)),
+         ((1, 2, 3, 30, 14, 7, 6, 29), (4, 11, 20, 25, 22, 8, 10, 26),
+          (5, 9, 21, 23, 28, 13, 12, 27)),
+         ((1, 2, 3, 30, 14, 7, 6, 29), (4, 11, 20, 25, 22, 8, 10, 26),
+          (5, 9, 23, 21, 27, 12, 13, 28))),
+    32: (((1, 2, 3, 32, 12, 4, 6, 30), (5, 9, 18, 28, 25, 14, 10, 31),
+          (8, 7, 26, 21, 27, 11, 13, 29)),
+         ((1, 2, 3, 32, 12, 4, 6, 30), (5, 9, 18, 28, 25, 14, 10, 31),
+          (8, 7, 26, 21, 29, 13, 11, 27)),
+         ((1, 2, 3, 32, 12, 4, 6, 30), (5, 9, 18, 28, 27, 11, 13, 29),
+          (8, 7, 26, 21, 25, 14, 10, 31))),
+}
 
-def brute_count(n: int, diagonals: str) -> int:
-    """Permutation-matrix count with the requested diagonal constraint,
+# The punctured-torus matching extend_classical(n, EXTENDABLE_TUPLES[n],
+# seed=0) returns, edge by edge.
+SEED0_MATCHINGS = {
+    27: ((2, 15), (18, 21), (17, 26), (12, 12), (20, 7), (3, 11), (4, 22),
+         (14, 9), (16, 6), (11, 10), (1, 5), (25, 0), (23, 19), (13, 18),
+         (24, 8)),
+    28: ((18, 10), (25, 21), (12, 20), (2, 15), (17, 6), (5, 16), (9, 18),
+         (19, 3), (24, 0), (15, 22), (16, 26), (11, 8), (1, 4), (13, 7),
+         (27, 14), (23, 13)),
+    30: ((18, 10), (12, 14), (28, 12), (29, 16), (17, 17), (1, 24), (27, 22),
+         (25, 4), (9, 5), (14, 2), (20, 18), (23, 0), (21, 3), (15, 26),
+         (7, 20), (16, 6), (8, 13), (11, 19)),
+}
+
+
+def brute_placements(n: int, diagonals: str):
+    """Row-ordered permutation placements with the requested diagonal
+    constraint, in lexicographic order of the column sequence,
     independent of the bitmask solvers."""
-    count = 0
     for perm in itertools.permutations(range(n)):
         if diagonals == "classical":
             ok = (len({r + perm[r] for r in range(n)}) == n
@@ -40,8 +77,12 @@ def brute_count(n: int, diagonals: str) -> int:
             ok = len({(r + perm[r]) % n for r in range(n)}) == n
         else:
             ok = len({r + perm[r] for r in range(n)}) == n
-        count += ok
-    return count
+        if ok:
+            yield tuple(enumerate(perm))
+
+
+def brute_count(n: int, diagonals: str) -> int:
+    return sum(1 for _ in brute_placements(n, diagonals))
 
 
 class TestCounters:
@@ -63,6 +104,10 @@ class TestCounters:
         for n in range(1, 8):
             assert count_toroidal(n) == brute_count(n, "toroidal")
 
+    def test_toroidal_solutions_in_lexicographic_order(self):
+        for n in range(1, 10):
+            assert list(toroidal_solutions(n)) == list(brute_placements(n, "toroidal"))
+
     def test_toroidal_solutions_are_valid(self):
         sols = list(toroidal_solutions(5))
         assert len(sols) == 10
@@ -70,9 +115,9 @@ class TestCounters:
             assert verify_placement(5, list(queens), "toroidal") == []
 
     def test_semiqueens_against_brute_force(self):
-        for n in range(1, 8):
+        for n in range(1, 10):
             assert count_semiqueens(n) == brute_count(n, "semi-toroidal")
-        for n in range(1, 7):
+        for n in range(1, 10):
             assert count_semiqueens(n, mode="classical") == brute_count(
                 n, "semi-classical"
             )
@@ -150,6 +195,18 @@ class TestWSet:
         assert obj["schema"] == "torq/1" and obj["case"] == "even-3div"
         assert len(obj["removed_vertices"]) == 48
 
+    @pytest.mark.parametrize("n", sorted(FIRST_WSETS))
+    def test_candidate_order(self, n):
+        got = [w.tuples for w in itertools.islice(wset_candidates(n), 3)]
+        assert tuple(got) == FIRST_WSETS[n]
+
+    def test_node_limit(self):
+        # The first WSet at n=30 comes out after exactly 314819 nodes.
+        with pytest.raises(CapacityError):
+            next(wset_candidates(30, node_limit=314_818))
+        w = next(wset_candidates(30, node_limit=314_819))
+        assert w.tuples == FIRST_WSETS[30][0]
+
     def test_build_wset_is_first_candidate(self):
         w = build_wset(30)
         first = next(wset_candidates(30))
@@ -170,10 +227,21 @@ class TestExtendClassical:
         assert all(i < 12 and j < 12 for i, j in toroidal)
         assert ext.to_json()["mode"] == "classical"
 
+    @pytest.mark.parametrize("n", sorted(SEED0_MATCHINGS))
+    def test_seed0_matching(self, n):
+        w = wset_from_tuples(n, EXTENDABLE_TUPLES[n])
+        ext = extend_classical(n, w, seed=0)
+        assert tuple((e.x, e.y) for e in ext.matching) == SEED0_MATCHINGS[n]
+
     def test_unmatchable_wset_reports_capacity(self):
-        # The lexicographically first removed-vertex set at n=30 leaves a
-        # punctured board with no perfect matching; the exhaustive
-        # restart must notice and stop early.
-        w = build_wset(30)
-        with pytest.raises(CapacityError):
-            extend_classical(30, w, budget_seconds=60.0)
+        # The two lexicographically first removed-vertex sets at n=30
+        # leave a punctured board with no perfect matching; a restart
+        # must exhaust its search and stop early.
+        for tuples in FIRST_WSETS[30][:2]:
+            w = wset_from_tuples(30, tuples)
+            with pytest.raises(CapacityError, match="no perfect matching with this"):
+                extend_classical(30, w, budget_seconds=600.0)
+
+    def test_search_timeout_aborts(self):
+        with pytest.raises(CapacityError, match="within 0.0 s"):
+            extend_classical_search(30, budget_seconds=0.0)
