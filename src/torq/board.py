@@ -76,10 +76,6 @@ class Vertex:
     def to_json(self) -> dict:
         return {"part": self.part.value, "coord": self.coord}
 
-    @staticmethod
-    def from_json(obj: dict) -> "Vertex":
-        return Vertex(Part(obj["part"]), int(obj["coord"]))
-
 
 @dataclass(frozen=True, order=True)
 class Edge:
@@ -296,17 +292,6 @@ def edges_into(g: TorusGraph, v: Vertex, interval: Interval) -> list[Edge]:
     for e in edges_through(g, v):
         others = [w for w in g.edge_vertices(e) if w != v]
         if all(interval.contains(n, w) for w in others):
-            out.append(e)
-    return out
-
-
-def edges_touching(g: TorusGraph, v: Vertex, interval: Interval) -> list[Edge]:
-    """Edges containing v with at least one other vertex in the interval."""
-    n = g.n
-    out = []
-    for e in edges_through(g, v):
-        others = [w for w in g.edge_vertices(e) if w != v]
-        if any(interval.contains(n, w) for w in others):
             out.append(e)
     return out
 

@@ -41,7 +41,10 @@ def _emit_json(obj: dict, out: str | None) -> None:
 
 def _solver_bound() -> int | None:
     raw = os.environ.get("TORQ_MAX_EXHAUSTIVE")
-    return int(raw) if raw else None
+    try:
+        return int(raw) if raw else None
+    except ValueError:
+        raise PreconditionError("TORQ_MAX_EXHAUSTIVE", f"must be an integer, got {raw!r}") from None
 
 
 def _read_vector(n: int) -> lattice.SupportVector:

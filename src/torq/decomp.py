@@ -4,7 +4,11 @@ The central objects are signed edge multisets ``phi`` whose boundary
 (:func:`torq.lattice.shadow`) hits a prescribed target vector.  The
 builders proceed through named phases and every public entry point
 re-verifies its own output bit-exactly, raising :class:`VerificationError`
-rather than returning a wrong answer.
+rather than returning a wrong answer.  Each phase accumulates into an
+edge set it created, with the in-place ``add`` / ``+=`` of
+:class:`~torq.lattice.SignedEdgeSet`, and never changes its arguments;
+:func:`decompose_bounded` keeps ``target - shadow(phi)`` current edge by
+edge instead of recomputing it after every edge.
 
 Step vectors used internally ("SQ steps", in offset form) are the
 supports ``+1@a, -1@(a+b), -1@(a+c), +1@(a+b+c)`` on the diagonal-sum
@@ -98,12 +102,12 @@ class ZeroSumConfig:
         )
 
     def edge_set(self) -> SignedEdgeSet:
-        acc: dict[Edge, int] = {}
+        out = SignedEdgeSet(self.n)
         for e in self.positive_edges():
-            acc[e] = acc.get(e, 0) + 1
+            out.add(e, 1)
         for e in self.negative_edges():
-            acc[e] = acc.get(e, 0) - 1
-        return SignedEdgeSet(self.n, acc)
+            out.add(e, -1)
+        return out
 
     def vertices(self) -> set[Vertex]:
         out: set[Vertex] = set()
@@ -440,20 +444,14 @@ def bidc_reduce(v: SupportVector) -> DecompositionResult:
     if any(red.classes.values()):
         raise VerificationError("class residual nonzero after carries")
 
-    acc: dict[Edge, int] = {}
+    phi = SignedEdgeSet(n)
     phase_edges: dict[str, int] = {}
     phase_gadgets: dict[str, int] = {}
     for phase, mult, a, b, c, s in red.steps:
         phase_gadgets[phase] = phase_gadgets.get(phase, 0) + abs(mult)
         phase_edges[phase] = phase_edges.get(phase, 0) + 8 * abs(mult)
         for x, y, sign in _q_step_edges(n, a, b, c, s):
-            e = edge_of(n, x, y)
-            m = acc.get(e, 0) + sign * mult
-            if m:
-                acc[e] = m
-            else:
-                acc.pop(e, None)
-    phi = SignedEdgeSet(n, acc)
+            phi.add(Edge(x, y), sign * mult)
     if shadow(phi) != v:
         raise VerificationError("reduced edge set does not shadow the target")
     if phi.size() > bidc_size_bound(v.size(), n):
@@ -522,6 +520,12 @@ def _exact_matching_cover(
     return acc if dfs(0) else None
 
 
+def _put_edge(phi: SignedEdgeSet, residual: SupportVector, e: Edge, m: int) -> None:
+    """Add m copies of e to phi and keep residual = target - shadow(phi)."""
+    phi.add(e, m)
+    residual.add_edge(e, -m)
+
+
 def decompose_bounded(target: SupportVector) -> DecompositionResult:
     """Realize an arbitrary lattice vector as a signed edge set.
 
@@ -549,20 +553,9 @@ def decompose_bounded(target: SupportVector) -> DecompositionResult:
         )
         return DecompositionResult(target, phi, phases)
 
-    acc: dict[Edge, int] = {}
-
-    def add_edge(x: int, y: int, m: int) -> None:
-        if m == 0:
-            return
-        e = edge_of(n, x % n, y % n)
-        nv = acc.get(e, 0) + m
-        if nv:
-            acc[e] = nv
-        else:
-            acc.pop(e, None)
-
-    def residual() -> SupportVector:
-        return target - shadow(SignedEdgeSet(n, acc))
+    # phi grows edge by edge and r = target - shadow(phi) is kept current.
+    phi = SignedEdgeSet(n)
+    r = target.copy()
 
     # Phase: edge cover.  Pair row units with column units, preferring
     # edges that also cover same-sign diagonal units; a matching shadow
@@ -570,7 +563,6 @@ def decompose_bounded(target: SupportVector) -> DecompositionResult:
     cover_edges = 0
     for sign in (1, -1):
         while True:
-            r = residual()
             rx = {k: v for k, v in r.part_weights(Part.X).items() if v * sign > 0}
             ry = {k: v for k, v in r.part_weights(Part.Y).items() if v * sign > 0}
             if not rx or not ry:
@@ -587,11 +579,10 @@ def decompose_bounded(target: SupportVector) -> DecompositionResult:
                     best = (bonus, y)
                     if bonus == 2:
                         break
-            add_edge(x, best[1], sign)
+            _put_edge(phi, r, Edge(x, best[1]), sign)
             cover_edges += 1
 
     # Phase: row/column elimination of the leftover same-part ± pairs.
-    r = residual()
     px, nx, py, ny = [], [], [], []
     for coord, w in sorted(r.part_weights(Part.X).items()):
         (px if w > 0 else nx).extend([coord] * abs(w))
@@ -599,19 +590,18 @@ def decompose_bounded(target: SupportVector) -> DecompositionResult:
         (py if w > 0 else ny).extend([coord] * abs(w))
     xy_edges = 0
     while px and nx:
-        add_edge(px.pop(), 0, 1)
-        add_edge(nx.pop(), 0, -1)
+        _put_edge(phi, r, Edge(px.pop(), 0), 1)
+        _put_edge(phi, r, Edge(nx.pop(), 0), -1)
         xy_edges += 2
     while py and ny:
-        add_edge(0, py.pop(), 1)
-        add_edge(0, ny.pop(), -1)
+        _put_edge(phi, r, Edge(0, py.pop()), 1)
+        _put_edge(phi, r, Edge(0, ny.pop()), -1)
         xy_edges += 2
     if px or nx or py or ny:
         raise VerificationError("row/column elimination left unpaired units")
 
     # Phase: lift the difference part into the sum part with signed
     # simple matrices (each has zero row/column boundary).
-    r = residual()
     dpart = r.part_weights(Part.D)
     d_gens = _sq_step_decompose(n, dpart)
     for sigma, a0, p, q in d_gens:
@@ -627,17 +617,13 @@ def decompose_bounded(target: SupportVector) -> DecompositionResult:
             (0, (m + beta) % n, -1),
             (gamma, m, -1),
         ):
-            add_edge(x, y, -sigma * sign)
+            _put_edge(phi, r, Edge(x, y), -sigma * sign)
 
     # Phase: sum-part reduction.
-    r = residual()
     if any(v.part is not Part.S for v in r.support()):
         raise VerificationError("difference lift left residue off the sum part")
     sub = bidc_reduce(r)
-    for e, m in sub.phi.entries.items():
-        add_edge(e.x, e.y, m)
-
-    phi = SignedEdgeSet(n, acc)
+    phi += sub.phi
     if shadow(phi) != target:
         raise VerificationError("decomposition does not shadow the target")
     phases = (
@@ -670,16 +656,7 @@ def push_down(u: SupportVector, t: int) -> SignedEdgeSet:
             raise PreconditionError("support-interval", f"vertex {v} outside radius {t}")
 
     half = t // 2
-    acc: dict[Edge, int] = {}
-
-    def add(cx: int, cy: int, m: int) -> None:
-        e = edge_at_centered(n, cx, cy)
-        nv = acc.get(e, 0) + m
-        if nv:
-            acc[e] = nv
-        else:
-            acc.pop(e, None)
-
+    phi = SignedEdgeSet(n)
     for v, w in sorted(u.entries.items()):
         c = centered(n, v.coord)
         if abs(c) <= half:
@@ -687,19 +664,18 @@ def push_down(u: SupportVector, t: int) -> SignedEdgeSet:
         i = c % 2
         a = (c + i) // 2
         if v.part is Part.S:
-            add(a, a - i, -w)
+            phi.add(edge_at_centered(n, a, a - i), -w)
         elif v.part is Part.D:
-            add(a, i - a, -w)
+            phi.add(edge_at_centered(n, a, i - a), -w)
         elif v.part is Part.X:
-            add(c, 0, -w)
-            add(a, a - i, w)
-            add(a, i - a, w)
+            phi.add(edge_at_centered(n, c, 0), -w)
+            phi.add(edge_at_centered(n, a, a - i), w)
+            phi.add(edge_at_centered(n, a, i - a), w)
         else:
-            add(0, c, -w)
-            add(a, a - i, w)
-            add(i - a, a, w)
+            phi.add(edge_at_centered(n, 0, c), -w)
+            phi.add(edge_at_centered(n, a, a - i), w)
+            phi.add(edge_at_centered(n, i - a, a), w)
 
-    phi = SignedEdgeSet(n, acc)
     for e in phi.entries:
         if not box_t.contains_edge(n, e):
             raise VerificationError(f"push-down edge {e} escapes radius {t}")
@@ -751,84 +727,41 @@ def zero_sum_support(u: SupportVector, avoid_wrap: bool = True) -> SignedEdgeSet
             "diagonal parity classes are unbalanced between the sum and difference parts",
         )
 
-    acc: dict[Edge, int] = {}
+    def edge(s_c: int, d_c: int) -> Edge:
+        """The edge on centered diagonals s_c and d_c.  When their
+        parities differ (odd n, wrap permitted) s_c + n stands for s_c."""
+        if (s_c - d_c) % 2:
+            s_c += n
+        return edge_at_centered(n, (s_c + d_c) // 2, (s_c - d_c) // 2)
 
-    def add(cx: int, cy: int, m: int) -> None:
-        e = edge_at_centered(n, cx, cy)
-        nv = acc.get(e, 0) + m
-        if nv:
-            acc[e] = nv
-        else:
-            acc.pop(e, None)
-
-    def pair_lists(sp: list[int], sm: list[int], dp: list[int], dm: list[int], p: int) -> None:
-        while sp and dp:
-            s_c, d_c = sp.pop(), dp.pop()
-            add((s_c + d_c) // 2, (s_c - d_c) // 2, -1)
-        while sm and dm:
-            s_c, d_c = sm.pop(), dm.pop()
-            add((s_c + d_c) // 2, (s_c - d_c) // 2, 1)
-        while sp and sm:
-            s_pos, s_neg = sp.pop(), sm.pop()
-            add((s_pos + p) // 2, (s_pos - p) // 2, -1)
-            add((s_neg + p) // 2, (s_neg - p) // 2, 1)
-        while dp and dm:
-            d_pos, d_neg = dp.pop(), dm.pop()
-            add((p + d_pos) // 2, (p - d_pos) // 2, -1)
-            add((p + d_neg) // 2, (p - d_neg) // 2, 1)
-        if sp or sm or dp or dm:
-            raise VerificationError("zero-summing left unpaired diagonal units")
-
-    if balanced:
-        for p in (0, 1):
-            sp: list[int] = []
-            sm: list[int] = []
-            dp: list[int] = []
-            dm: list[int] = []
-            for v, w in sorted(u.entries.items()):
-                if v.part not in (Part.S, Part.D):
-                    continue
-                c = centered(n, v.coord)
-                if c % 2 != p:
-                    continue
-                target = (sp if w > 0 else sm) if v.part is Part.S else (dp if w > 0 else dm)
-                target.extend([c] * abs(w))
-            pair_lists(sp, sm, dp, dm, p)
-    else:
-        # Odd board, wrap permitted: pair freely using the residue
-        # halving map (2 is invertible).
-        inv2 = (n + 1) // 2
-        sp, sm, dp, dm = [], [], [], []
+    # Balanced: pair within each centered parity class p, so that no edge
+    # wraps.  Otherwise (odd n, wrap permitted): pair all units freely.
+    phi = SignedEdgeSet(n)
+    for p in (0, 1) if balanced else (None,):
+        sp: list[int] = []
+        sm: list[int] = []
+        dp: list[int] = []
+        dm: list[int] = []
         for v, w in sorted(u.entries.items()):
-            if v.part not in (Part.S, Part.D):
+            c = centered(n, v.coord)
+            if v.part not in (Part.S, Part.D) or (p is not None and c % 2 != p):
                 continue
             target = (sp if w > 0 else sm) if v.part is Part.S else (dp if w > 0 else dm)
-            target.extend([v.coord] * abs(w))
-
-        def addr(s_c: int, d_c: int, m: int) -> None:
-            x = ((s_c + d_c) * inv2) % n
-            y = ((s_c - d_c) * inv2) % n
-            e = edge_of(n, x, y)
-            nv = acc.get(e, 0) + m
-            if nv:
-                acc[e] = nv
-            else:
-                acc.pop(e, None)
-
+            target.extend([c] * abs(w))
+        o = p or 0  # where same-part pairs meet the other diagonal
         while sp and dp:
-            addr(sp.pop(), dp.pop(), -1)
+            phi.add(edge(sp.pop(), dp.pop()), -1)
         while sm and dm:
-            addr(sm.pop(), dm.pop(), 1)
+            phi.add(edge(sm.pop(), dm.pop()), 1)
         while sp and sm:
-            addr(sp.pop(), 0, -1)
-            addr(sm.pop(), 0, 1)
+            phi.add(edge(sp.pop(), o), -1)
+            phi.add(edge(sm.pop(), o), 1)
         while dp and dm:
-            addr(0, dp.pop(), -1)
-            addr(0, dm.pop(), 1)
+            phi.add(edge(o, dp.pop()), -1)
+            phi.add(edge(o, dm.pop()), 1)
         if sp or sm or dp or dm:
             raise VerificationError("zero-summing left unpaired diagonal units")
 
-    phi = SignedEdgeSet(n, acc)
     cleared = u + shadow(phi)
     if any(v.part in (Part.S, Part.D) for v in cleared.support()):
         raise VerificationError("zero-summing left diagonal residue")
@@ -868,27 +801,18 @@ def cover_leave(leave: SupportVector, radius: int) -> DecompositionResult:
     if t > n // 2:
         raise PreconditionError("radius-range", f"radius {radius} too large for n={n}")
 
-    steps: dict[Edge, int] = {}
+    steps = SignedEdgeSet(n)
     phases: list[tuple[str, int, int]] = []
-
-    def absorb(phi_step: SignedEdgeSet) -> None:
-        for e, m in phi_step.entries.items():
-            nv = steps.get(e, 0) + m
-            if nv:
-                steps[e] = nv
-            else:
-                steps.pop(e, None)
-
     r = leave
     while t >= 2:
         phi_step = push_down(r, t)
-        absorb(phi_step)
+        steps += phi_step
         r = r + shadow(phi_step)
         phases.append(("push-down", 1, phi_step.size()))
         t //= 2
 
     phi_step = zero_sum_support(r, avoid_wrap=True)
-    absorb(phi_step)
+    steps += phi_step
     r = r + shadow(phi_step)
     phases.append(("zero-sum", 1, phi_step.size()))
 
@@ -905,18 +829,16 @@ def cover_leave(leave: SupportVector, radius: int) -> DecompositionResult:
     m = -h
     gadget = [((0, -1), -1), ((0, 1), -1), ((-1, 0), 1), ((1, 0), 1)]
     if m:
-        acc_g: dict[Edge, int] = {}
+        phi_step = SignedEdgeSet(n)
         for (cx, cy), sign in gadget:
-            e = edge_at_centered(n, cx, cy)
-            acc_g[e] = acc_g.get(e, 0) + sign * m
-        phi_step = SignedEdgeSet(n, acc_g)
-        absorb(phi_step)
+            phi_step.add(edge_at_centered(n, cx, cy), sign * m)
+        steps += phi_step
         r = r + shadow(phi_step)
     phases.append(("finish-gadget", abs(m), 4 * abs(m)))
     if not r.is_zero():
         raise VerificationError("leave cover left a nonzero residual")
 
-    phi = -SignedEdgeSet(n, steps)
+    phi = -steps
     if shadow(phi) != leave:
         raise VerificationError("leave cover does not shadow the leave")
     return DecompositionResult(leave, phi, tuple(phases))
@@ -952,7 +874,7 @@ def to_matching_pair(
     if any(abs(w) > 1 for w in sh.entries.values()):
         raise PreconditionError("shadow-weights", "shadow weights must lie in {-1, 0, 1}")
 
-    work = dict(phi.entries)
+    work = phi.copy()
     steps = 0
     max_steps = 100 + 8 * phi.size()
     max_edges = 64 + 4 * phi.size()
@@ -961,21 +883,13 @@ def to_matching_pair(
     def covers() -> tuple[dict[Vertex, int], dict[Vertex, int]]:
         pos: dict[Vertex, int] = {}
         neg: dict[Vertex, int] = {}
-        for e, m in work.items():
+        for e, m in work.entries.items():
             for v in e.vertices(n):
                 if m > 0:
                     pos[v] = pos.get(v, 0) + m
                 else:
                     neg[v] = neg.get(v, 0) - m
         return pos, neg
-
-    def apply(delta: SignedEdgeSet) -> None:
-        for e, m in delta.entries.items():
-            nv = work.get(e, 0) + m
-            if nv:
-                work[e] = nv
-            else:
-                work.pop(e, None)
 
     while True:
         pos, neg = covers()
@@ -986,7 +900,7 @@ def to_matching_pair(
         if not conflicts:
             break
         steps += 1
-        if steps > max_steps or len(work) > max_edges:
+        if steps > max_steps or len(work.entries) > max_edges:
             raise CapacityError(
                 "rewriting did not converge within its step budget",
                 blocking=conflicts[0],
@@ -999,8 +913,8 @@ def to_matching_pair(
         chosen = None
         fallback: tuple[int, ZeroSumConfig] | None = None
         for v in conflicts:
-            epos = sorted(e for e, m in work.items() if m > 0 and v in e.vertices(n))
-            eneg = sorted(e for e, m in work.items() if m < 0 and v in e.vertices(n))
+            epos = sorted(e for e, m in work.entries.items() if m > 0 and v in e.vertices(n))
+            eneg = sorted(e for e, m in work.entries.items() if m < 0 and v in e.vertices(n))
             if not epos or not eneg:
                 raise VerificationError(
                     f"over-covered vertex {v} lacks an opposite-sign edge"
@@ -1045,16 +959,15 @@ def to_matching_pair(
                     blocking=conflicts[0],
                 )
             chosen = fallback[1]
-        apply(chosen.edge_set())
+        work += chosen.edge_set()
 
-    if any(abs(m) > 1 for m in work.values()):
+    if any(abs(m) > 1 for m in work.entries.values()):
         raise VerificationError("rewriting finished with a multi-edge")
-    final = SignedEdgeSet(n, work)
-    if shadow(final) != sh:
+    if shadow(work) != sh:
         raise VerificationError("rewriting changed the shadow")
     g = TorusGraph(n)
-    m1 = Matching.of(final.positive_part())
-    m2 = Matching.of(final.negative_part())
+    m1 = Matching.of(work.positive_part())
+    m2 = Matching.of(work.negative_part())
     for m in (m1, m2):
         report = verify_matching(g, m)
         if not report.valid:
@@ -1202,15 +1115,9 @@ def build_cascade(
         used |= pick.vertices()
         links.append(pick)
 
-    acc: dict[Edge, int] = {}
+    total = SignedEdgeSet(n)
     for z in [primary, *links]:
-        for edge, m in z.edge_set().entries.items():
-            nv = acc.get(edge, 0) + m
-            if nv:
-                acc[edge] = nv
-            else:
-                acc.pop(edge, None)
-    total = SignedEdgeSet(n, acc)
+        total += z.edge_set()
     m1 = Matching.of(total.positive_part())
     m2 = Matching.of(total.negative_part())
     if len(m1) != 16 or len(m2) != 16:

@@ -1,6 +1,13 @@
 """Integer vectors on the vertex set, edge shadows, generator families,
 and exact lattice-membership tests.
 
+``SupportVector`` (vertex weights) and ``SignedEdgeSet`` (edge
+multiplicities) are one sparse counter: every sum of vectors or edge
+sets in torq, including the shadow map and each phase of
+:mod:`torq.decomp`, goes through their ``add`` / ``+=`` /
+``add_edge``, which check keys and drop zeros.  Their ``from_json``
+rejects malformed input with a PreconditionError naming the field path.
+
 The edge lattice L of a board is the integer span of the shadows of its
 edges.  Membership is characterised by part-sum equalities together with
 weighted congruences in i and i^2; for even n an additional exact parity
@@ -13,17 +20,74 @@ congruence tests at small n.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .board import Edge, Part, PART_ORDER, Vertex
+from .errors import PreconditionError
 
 QUEENS_PARTS = PART_ORDER
 SEMI_PARTS = (Part.X, Part.Y, Part.S)
 
 
+class _Counter:
+    """A sparse integer counter over the vertices or edges of one board.
+
+    The constructor copies ``entries`` through :meth:`add`, which checks
+    each key with the subclass's ``_check`` and never stores a zero.
+    ``add``, ``+=`` and ``SupportVector.add_edge`` update the counter in
+    place: use them only on a counter the caller created, never on one it
+    was given.  ``_space`` gives the fields besides ``entries`` (the board
+    and kind), which operands of ``+`` must share.
+    """
+
+    entries: Mapping
+
+    def __post_init__(self) -> None:
+        given = self.entries
+        object.__setattr__(self, "entries", {})
+        for key, m in given.items():
+            self.add(key, m)
+
+    def add(self, key, m: int) -> None:
+        """Add m to the count of key, dropping the key when it reaches 0."""
+        if m == 0:
+            return
+        self._check(key)
+        total = self.entries.get(key, 0) + int(m)
+        if total:
+            self.entries[key] = total
+        else:
+            del self.entries[key]
+
+    def __iadd__(self, other):
+        if type(other) is not type(self) or other._space() != self._space():
+            raise ValueError(f"mismatched {type(self).__name__} operands")
+        for key, m in other.entries.items():
+            self.add(key, m)
+        return self
+
+    def copy(self):
+        """A new counter with the same entries, free to update in place."""
+        out = type(self)(**self._space())
+        out.entries.update(self.entries)
+        return out
+
+    def __add__(self, other):
+        out = self.copy()
+        out += other
+        return out
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def size(self) -> int:
+        return sum(abs(m) for m in self.entries.values())
+
+
 @dataclass(frozen=True)
-class SupportVector:
+class SupportVector(_Counter):
     """Integer weights on the vertices of a board of side n.
 
     kind is "queens" (4 parts) or "semi" (3 parts, no D).
@@ -34,22 +98,25 @@ class SupportVector:
     entries: Mapping[Vertex, int] = field(default_factory=dict)
     kind: str = "queens"
 
-    def __post_init__(self) -> None:
+    def _check(self, v: Vertex) -> None:
         parts = SEMI_PARTS if self.kind == "semi" else QUEENS_PARTS
-        clean = {}
-        for v, w in self.entries.items():
-            if w == 0:
-                continue
-            if v.part not in parts or not (0 <= v.coord < self.n):
-                raise ValueError(f"vertex {v} invalid for n={self.n} kind={self.kind}")
-            clean[v] = int(w)
-        object.__setattr__(self, "entries", clean)
+        if v.part not in parts or not (0 <= v.coord < self.n):
+            raise ValueError(f"vertex {v} invalid for n={self.n} kind={self.kind}")
+
+    def _space(self) -> dict:
+        return {"n": self.n, "kind": self.kind}
+
+    def add_edge(self, e: Edge, m: int = 1) -> None:
+        """Add m times the shadow of e for this vector's kind."""
+        n = self.n
+        self.add(Vertex(Part.X, e.x), m)
+        self.add(Vertex(Part.Y, e.y), m)
+        self.add(Vertex(Part.S, e.s(n)), m)
+        if self.kind == "queens":
+            self.add(Vertex(Part.D, e.d(n)), m)
 
     def weight(self, v: Vertex) -> int:
         return self.entries.get(v, 0)
-
-    def size(self) -> int:
-        return sum(abs(w) for w in self.entries.values())
 
     def support(self) -> list[Vertex]:
         return sorted(self.entries)
@@ -65,17 +132,6 @@ class SupportVector:
 
     def odd_sum(self, part: Part) -> int:
         return sum(w for v, w in self.entries.items() if v.part is part and v.coord % 2 == 1)
-
-    def __add__(self, other: "SupportVector") -> "SupportVector":
-        if (self.n, self.kind) != (other.n, other.kind):
-            raise ValueError("mismatched vectors")
-        merged = dict(self.entries)
-        for v, w in other.entries.items():
-            merged[v] = merged.get(v, 0) + w
-        return SupportVector(self.n, merged, self.kind)
-
-    def __sub__(self, other: "SupportVector") -> "SupportVector":
-        return self + (-other)
 
     def __neg__(self) -> "SupportVector":
         return SupportVector(self.n, {v: -w for v, w in self.entries.items()}, self.kind)
@@ -102,68 +158,53 @@ class SupportVector:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "SupportVector":
-        n = int(obj["n"])
-        if n < 1:
-            raise ValueError("n: must be a positive integer")
-        kind = obj.get("kind", "queens")
-        if kind not in ("queens", "semi"):
-            raise ValueError("kind: must be 'queens' or 'semi'")
-        entries: dict[Vertex, int] = {}
-        for i, ent in enumerate(obj["entries"]):
-            v = Vertex(Part(ent["part"]), int(ent["coord"]))
-            if v in entries:
-                raise ValueError(f"entries[{i}]: duplicate vertex")
-            entries[v] = int(ent["weight"])
-        return SupportVector(n, entries, kind)
+    def from_json(obj: object) -> "SupportVector":
+        """Parse :meth:`to_json` output; PreconditionError names the first
+        bad field by its path, such as ``entries[0].weight``."""
+
+        def empty(n: int, top: dict) -> SupportVector:
+            kind = top.get("kind", "queens")
+            if kind not in ("queens", "semi"):
+                raise PreconditionError("kind", "must be 'queens' or 'semi'")
+            return SupportVector(n, kind=kind)
+
+        def key(ent: dict, i: int) -> Vertex:
+            part = ent.get("part")
+            if not isinstance(part, str) or part not in _PARTS:
+                raise PreconditionError(f"entries[{i}].part", "must be one of X, Y, S, D")
+            return Vertex(_PARTS[part], _json_int(ent, "coord", i))
+
+        return _from_json(obj, empty, key, "weight")
 
 
 def sv(n: int, items: Iterable[tuple[Part, int, int]], kind: str = "queens") -> SupportVector:
     """Build a SupportVector from (part, coord, weight) triples (coords
     reduced mod n, repeated vertices accumulated)."""
-    entries: dict[Vertex, int] = {}
+    out = SupportVector(n, kind=kind)
     for part, coord, w in items:
-        v = Vertex(part, coord % n)
-        entries[v] = entries.get(v, 0) + w
-    return SupportVector(n, entries, kind)
+        out.add(Vertex(part, coord % n), w)
+    return out
 
 
 @dataclass(frozen=True)
-class SignedEdgeSet:
+class SignedEdgeSet(_Counter):
     """An integer multiset of edges with signs (multiplicity per edge)."""
 
     n: int
     entries: Mapping[Edge, int] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        clean = {}
-        for e, m in self.entries.items():
-            if m == 0:
-                continue
-            if not (0 <= e.x < self.n and 0 <= e.y < self.n):
-                raise ValueError(f"edge {e} out of range for n={self.n}")
-            clean[e] = int(m)
-        object.__setattr__(self, "entries", clean)
+    def _check(self, e: Edge) -> None:
+        if not (0 <= e.x < self.n and 0 <= e.y < self.n):
+            raise ValueError(f"edge {e} out of range for n={self.n}")
 
-    def size(self) -> int:
-        return sum(abs(m) for m in self.entries.values())
+    def _space(self) -> dict:
+        return {"n": self.n}
 
     def mult(self, e: Edge) -> int:
         return self.entries.get(e, 0)
 
-    def __add__(self, other: "SignedEdgeSet") -> "SignedEdgeSet":
-        if self.n != other.n:
-            raise ValueError("mismatched edge sets")
-        merged = dict(self.entries)
-        for e, m in other.entries.items():
-            merged[e] = merged.get(e, 0) + m
-        return SignedEdgeSet(self.n, merged)
-
     def __neg__(self) -> "SignedEdgeSet":
         return SignedEdgeSet(self.n, {e: -m for e, m in self.entries.items()})
-
-    def __sub__(self, other: "SignedEdgeSet") -> "SignedEdgeSet":
-        return self + (-other)
 
     def positive_part(self) -> list[Edge]:
         """Each positive edge repeated by multiplicity, sorted."""
@@ -187,43 +228,78 @@ class SignedEdgeSet:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "SignedEdgeSet":
-        n = int(obj["n"])
-        if n < 1:
-            raise ValueError("n: must be a positive integer")
-        entries: dict[Edge, int] = {}
-        for i, ent in enumerate(obj["entries"]):
-            e = Edge(int(ent["x"]), int(ent["y"]))
-            if e in entries:
-                raise ValueError(f"entries[{i}]: duplicate edge")
-            entries[e] = int(ent["mult"])
-        return SignedEdgeSet(n, entries)
+    def from_json(obj: object) -> "SignedEdgeSet":
+        """Parse :meth:`to_json` output; PreconditionError names the first
+        bad field by its path, such as ``entries[0].mult``."""
+        return _from_json(
+            obj,
+            lambda n, top: SignedEdgeSet(n),
+            lambda ent, i: Edge(_json_int(ent, "x", i), _json_int(ent, "y", i)),
+            "mult",
+        )
+
+
+_PARTS = {p.value: p for p in Part}
+
+
+def _json_int(obj: dict, key: str, i: int | None = None) -> int:
+    """obj[key], which must be a JSON integer (not a float, string or
+    bool); i is the index of obj in ``entries`` when obj is an entry."""
+    val = obj.get(key)
+    if type(val) is int:
+        return val
+    name = key if i is None else f"entries[{i}].{key}"
+    if key not in obj:
+        raise PreconditionError(name, "missing")
+    raise PreconditionError(name, f"must be an integer, got {json.dumps(val)}")
+
+
+def _from_json(
+    obj: object,
+    empty: Callable[[int, dict], _Counter],
+    key: Callable[[dict, int], object],
+    weight: str,
+) -> _Counter:
+    """The shared JSON reader of SupportVector and SignedEdgeSet: checks
+    every field, then fills ``empty(n, obj)`` entry by entry."""
+    if not isinstance(obj, dict):
+        raise PreconditionError("top level", "must be a JSON object")
+    n = _json_int(obj, "n")
+    if n < 1:
+        raise PreconditionError("n", "must be a positive integer")
+    out = empty(n, obj)
+    if not isinstance(obj.get("entries"), list):
+        why = "must be a JSON array" if "entries" in obj else "missing"
+        raise PreconditionError("entries", why)
+    seen: set = set()
+    for i, ent in enumerate(obj["entries"]):
+        if not isinstance(ent, dict):
+            raise PreconditionError(f"entries[{i}]", "must be a JSON object")
+        k = key(ent, i)
+        m = _json_int(ent, weight, i)
+        if k in seen:
+            raise PreconditionError(f"entries[{i}]", "repeats an earlier entry")
+        seen.add(k)
+        try:
+            out.add(k, m)
+        except ValueError as ex:
+            raise PreconditionError(f"entries[{i}]", str(ex)) from None
+    return out
 
 
 def edge_shadow(n: int, e: Edge, kind: str = "queens") -> SupportVector:
-    items = [(Part.X, e.x, 1), (Part.Y, e.y, 1), (Part.S, e.s(n), 1)]
-    if kind == "queens":
-        items.append((Part.D, e.d(n), 1))
-    return sv(n, items, kind)
+    out = SupportVector(n, kind=kind)
+    out.add_edge(e)
+    return out
 
 
 def shadow(phi: SignedEdgeSet, kind: str = "queens") -> SupportVector:
     """The boundary map: each vertex receives the signed sum of the
     multiplicities of edges containing it."""
-    n = phi.n
-    entries: dict[Vertex, int] = {}
-
-    def bump(part: Part, coord: int, m: int) -> None:
-        v = Vertex(part, coord)
-        entries[v] = entries.get(v, 0) + m
-
+    out = SupportVector(phi.n, kind=kind)
     for e, m in phi.entries.items():
-        bump(Part.X, e.x, m)
-        bump(Part.Y, e.y, m)
-        bump(Part.S, e.s(n), m)
-        if kind == "queens":
-            bump(Part.D, e.d(n), m)
-    return SupportVector(n, entries, kind)
+        out.add_edge(e, m)
+    return out
 
 
 # --- membership tests ---------------------------------------------------
@@ -387,21 +463,6 @@ def expand(n: int, g: Generator, kind: str = "queens") -> SupportVector:
         (Part.D, a - c, t), (Part.D, b - d, t), (Part.D, a - d, -t), (Part.D, b - c, -t),
     ]
     return sv(n, items, kind)
-
-
-def simple_matrix_edges(n: int, g: Generator) -> SignedEdgeSet:
-    """A simple matrix as a signed edge multiset ((row, col) cells as
-    board edges)."""
-    if g.kind != "simple-matrix":
-        raise ValueError("not a simple matrix")
-    a, b, c, d = (p % n for p in g.params)
-    t = g.sign
-    entries: dict[Edge, int] = {}
-    for e, w in (
-        (Edge(a, c), t), (Edge(b, d), t), (Edge(a, d), -t), (Edge(b, c), -t),
-    ):
-        entries[e] = entries.get(e, 0) + w
-    return SignedEdgeSet(n, entries)
 
 
 def simple_matrix_decompose(a_mat: Sequence[Sequence[int]]) -> list[Generator]:

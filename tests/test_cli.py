@@ -7,7 +7,9 @@ import subprocess
 import sys
 
 from torq.board import edge_at_centered
-from torq.lattice import SignedEdgeSet, edge_shadow, shadow, sv
+from torq.lattice import Generator, SignedEdgeSet, edge_shadow, expand, shadow, sv
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run_cli(*args, stdin=None, env_extra=None):
@@ -45,6 +47,10 @@ class TestCount:
         res = run_cli("count", "--n", "5", "--mode", "classical",
                       env_extra={"TORQ_MAX_EXHAUSTIVE": "5"})
         assert res.returncode == 0
+        res = run_cli("count", "--n", "5", env_extra={"TORQ_MAX_EXHAUSTIVE": "abc"})
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("error: TORQ_MAX_EXHAUSTIVE: ")
+        assert "Traceback" not in res.stderr
 
 
 class TestLatticeCheck:
@@ -121,6 +127,26 @@ class TestDecompose:
         res = run_cli("decompose", "--n", "31", "--method", "leave",
                       stdin=json.dumps(v.to_json()))
         assert res.returncode == 2
+
+    def test_golden_stdout(self):
+        # Pinned bytes for each method: a signed 3-edge member that the
+        # exact-matching path cannot take (all four bounded phases run),
+        # a sum of two q-gens, and a two-edge leave with its matching pair.
+        at = edge_at_centered
+        bounded = (edge_shadow(31, at(31, -3, 0)) + edge_shadow(31, at(31, 2, -1))
+                   - edge_shadow(31, at(31, 3, -1)))
+        qgens = (expand(31, Generator("q-gen", (2, 3, 5, 4)))
+                 + expand(31, Generator("q-gen", (7, 1, 9, 12), -1)))
+        leave = self.member(101, [at(101, 1, 2), at(101, -2, 1)])
+        for name, v, args in (
+            ("bounded", bounded, ()),
+            ("bidc", qgens, ("--method", "bidc")),
+            ("leave", leave, ("--method", "leave", "--radius", "4", "--region", "101")),
+        ):
+            res = run_cli("decompose", "--n", str(v.n), *args, stdin=json.dumps(v.to_json()))
+            assert res.returncode == 0, (name, res.stderr)
+            with open(os.path.join(GOLDEN, f"decompose_{name}.json")) as fh:
+                assert res.stdout == fh.read(), name
 
     def test_non_member_rejected(self):
         obj = {"n": 31, "kind": "queens",
@@ -226,6 +252,20 @@ class TestErrors:
 
     def test_missing_required_flag(self):
         assert run_cli("count").returncode == 2
+
+    def test_malformed_json_names_the_field(self):
+        entry = {"part": "X", "coord": 0, "weight": 1.5}
+        for args, stdin, field in (
+            (("lattice", "check", "--n", "5"), {"n": 5}, "entries"),
+            (("lattice", "check", "--n", "5"), [], "top level"),
+            (("decompose", "--n", "31"), {"x": 0, "y": 1, "mult": 1}, "n"),
+            (("lattice", "check", "--n", "5"),
+             {"n": 5, "kind": "queens", "entries": [entry]}, "entries[0].weight"),
+        ):
+            res = run_cli(*args, stdin=json.dumps(stdin))
+            assert res.returncode == 2 and res.stdout == "", (stdin, res.stderr)
+            assert res.stderr.startswith(f"error: {field}: "), (stdin, res.stderr)
+            assert "Traceback" not in res.stderr
 
     def test_precondition_names_the_field(self):
         for args, field in (

@@ -321,6 +321,28 @@ class TestToMatchingPair:
         assert exc.value.condition == "shadow-weights"
 
 
+class TestArgumentsUnchanged:
+    """The phases build their edge sets and residuals in place; none may
+    change the vector or edge set it is given."""
+
+    def test_entries_unchanged(self):
+        n = 31
+        e1, e2, e3 = (edge_at_centered(n, cx, cy) for cx, cy in ((-3, 0), (2, -1), (3, -1)))
+        member = edge_shadow(n, e1) + edge_shadow(n, e2) - edge_shadow(n, e3)
+        leave = edge_shadow(n, edge_at_centered(n, 3, 1))
+        for fn, arg, rest in (
+            (decompose_bounded, member, ()),
+            (bidc_reduce, sq_pair(n, random.Random(0)), ()),
+            (cover_leave, leave, (4,)),
+            (push_down, sv(n, [(Part.S, 6, 1), (Part.X, -5, 2)]), (8,)),
+            (zero_sum_support, leave, ()),
+            (to_matching_pair, cover_leave(leave, 4).phi, (whole_board(n),)),
+        ):
+            before = dict(arg.entries)
+            fn(arg, *rest)
+            assert arg.entries == before, fn.__name__
+
+
 class TestCascade:
     SEED = Edge(0, 0)
     TARGETS = (Edge(0, 5), Edge(7, 0), Edge(11, 90), Edge(13, 13))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torq.board import Edge, Part, Vertex
+from torq.errors import PreconditionError
 from torq.lattice import (
     Generator,
     SignedEdgeSet,
@@ -21,7 +22,6 @@ from torq.lattice import (
     in_sublattice_S,
     shadow,
     simple_matrix_decompose,
-    simple_matrix_edges,
     sv,
 )
 
@@ -44,6 +44,14 @@ class TestSupportVector:
         v = sv(5, [(Part.X, 0, 1), (Part.X, 0, -1), (Part.Y, 2, 3)])
         assert v.size() == 3
         assert v.support() == [Vertex(Part.Y, 2)]
+        # In place: adding then subtracting leaves no key behind.
+        v.add_edge(Edge(1, 4), 2)
+        v.add(Vertex(Part.Y, 2), -3)
+        v.add_edge(Edge(1, 4), -2)
+        assert v.entries == {}
+        phi = SignedEdgeSet(5, {Edge(1, 4): 2})
+        phi += SignedEdgeSet(5, {Edge(1, 4): -2})
+        assert phi.entries == {}
 
     def test_coords_reduced_and_accumulated(self):
         v = sv(5, [(Part.S, 7, 1), (Part.S, 2, 1)])
@@ -71,10 +79,47 @@ class TestSupportVector:
     def test_semi_kind_rejects_d(self):
         with pytest.raises(ValueError):
             sv(5, [(Part.D, 0, 1)], kind="semi")
+        with pytest.raises(ValueError):
+            sv(5, [], kind="semi").add(Vertex(Part.D, 0), 1)
+
+    def test_out_of_range_edge_rejected(self):
+        with pytest.raises(ValueError):
+            sv(5, []).add_edge(Edge(5, 0))
+        with pytest.raises(ValueError):
+            SignedEdgeSet(5).add(Edge(0, -1), 1)
 
     def test_json_round_trip(self):
         v = sv(9, [(Part.X, 3, -2), (Part.S, 0, 5)])
         assert SupportVector.from_json(v.to_json()) == v
+        phi = SignedEdgeSet(9, {Edge(3, 8): -2, Edge(0, 0): 1})
+        assert SignedEdgeSet.from_json(phi.to_json()) == phi
+
+    @pytest.mark.parametrize("cls,obj,field", [
+        (SupportVector, [], "top level"),
+        (SupportVector, {"entries": []}, "n"),
+        (SupportVector, {"n": "3", "entries": []}, "n"),
+        (SupportVector, {"n": 3}, "entries"),
+        (SupportVector, {"n": 3, "entries": [{"part": "X", "coord": 0}]}, "entries[0].weight"),
+        (SupportVector, {"n": 3, "entries": [{"part": "X", "coord": True, "weight": 1}]},
+         "entries[0].coord"),
+        (SupportVector, {"n": 3, "entries": [{"part": "Q", "coord": 0, "weight": 1}]},
+         "entries[0].part"),
+        (SupportVector, {"n": 3, "entries": [{"part": "X", "coord": 3, "weight": 1}]},
+         "entries[0]"),
+        (SupportVector, {"n": 3, "kind": "semi",
+                         "entries": [{"part": "D", "coord": 0, "weight": 1}]}, "entries[0]"),
+        (SupportVector, {"n": 3, "entries": [{"part": "X", "coord": 0, "weight": 1},
+                                             {"part": "X", "coord": 0, "weight": 1}]},
+         "entries[1]"),
+        (SignedEdgeSet, {"n": 3, "entries": [{"x": 0, "y": 1, "mult": 1.5}]}, "entries[0].mult"),
+        (SignedEdgeSet, {"n": 3, "entries": [{"x": "0", "y": 1, "mult": 1}]}, "entries[0].x"),
+        (SignedEdgeSet, {"n": 3, "entries": [{"x": 0, "y": 3, "mult": 1}]}, "entries[0]"),
+        (SignedEdgeSet, {"n": 3, "entries": [7]}, "entries[0]"),
+    ])
+    def test_json_errors_name_the_field(self, cls, obj, field):
+        with pytest.raises(PreconditionError) as exc:
+            cls.from_json(obj)
+        assert exc.value.condition == field
 
 
 class TestShadows:
@@ -202,8 +247,10 @@ class TestSublatticeS:
 
 class TestGenerators:
     def test_expand_matches_edge_shadow_for_simple_matrix(self):
+        # Rows a, b and columns c, d: +1 at (a, c), (b, d), -1 at (a, d), (b, c).
         g = Generator("simple-matrix", (0, 2, 1, 4))
-        assert shadow(simple_matrix_edges(7, g)) == expand(7, g)
+        cells = SignedEdgeSet(7, {Edge(0, 1): 1, Edge(2, 4): 1, Edge(0, 4): -1, Edge(2, 1): -1})
+        assert shadow(cells) == expand(7, g)
 
     def test_q_gen_is_sq_difference(self):
         n = 11
