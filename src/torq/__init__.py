@@ -59,7 +59,6 @@ from .lattice import (
     check_sublattice_S,
     hnf_oracle,
     in_lattice_queens,
-    in_lattice_semiqueens,
     in_sublattice_S,
     shadow,
     sv,

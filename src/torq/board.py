@@ -1,15 +1,14 @@
-"""Toroidal/classical queens boards as 4-partite hypergraphs.
+"""Toroidal queens boards as 4-partite hypergraphs.
 
 The toroidal board of side n is modelled as a 4-partite 4-uniform
 hypergraph: parts X (rows), Y (columns), S (sum diagonals, X+Y) and
 D (difference diagonals, X-Y), each with n vertices indexed by residues
 mod n.  Placing a queen at (x, y) uses the edge
-(x, y, x+y mod n, x-y mod n).  The semi-queens variant drops the D part;
-the classical board unrolls the diagonals into 2n-1 classes each.
+(x, y, x+y mod n, x-y mod n).  The semi-queens variant drops the D part.
 
 Coordinates are stored as canonical residues 0..n-1; the "centered"
 representative (odd n: [-(n-1)/2, (n-1)/2], even n: [-n/2+1, n/2]) is a
-derived view used for interval geometry and wrap-around detection.
+derived view used for interval geometry.
 """
 
 from __future__ import annotations
@@ -36,14 +35,6 @@ PART_ORDER: tuple[Part, ...] = (Part.X, Part.Y, Part.S, Part.D)
 class BoardKind(str, Enum):
     QUEENS_TOROIDAL = "queens-toroidal"
     SEMIQUEENS_TOROIDAL = "semiqueens-toroidal"
-    QUEENS_CLASSICAL = "queens-classical"
-
-
-class WrapKind(str, Enum):
-    NONE = "none"
-    SUM = "sum"
-    DIFF = "diff"
-    BOTH = "both"
 
 
 def centered(n: int, coord: int) -> int:
@@ -69,9 +60,6 @@ class Vertex:
 
     part: Part
     coord: int
-
-    def centered(self, n: int) -> int:
-        return centered(n, self.coord)
 
     def to_json(self) -> dict:
         return {"part": self.part.value, "coord": self.coord}
@@ -118,32 +106,6 @@ def edge_of(n: int, x: int, y: int) -> Edge:
 def edge_at_centered(n: int, cx: int, cy: int) -> Edge:
     """Edge through centered row cx and centered column cy."""
     return Edge(cx % n, cy % n)
-
-
-def wraps(n: int, e: Edge) -> WrapKind:
-    """Whether the centered sum/difference of e's (x, y) leaves the
-    centered coordinate range."""
-    lo, hi = centered_range(n)
-    cx, cy = centered(n, e.x), centered(n, e.y)
-    sum_wraps = not (lo <= cx + cy <= hi)
-    diff_wraps = not (lo <= cx - cy <= hi)
-    if sum_wraps and diff_wraps:
-        return WrapKind.BOTH
-    if sum_wraps:
-        return WrapKind.SUM
-    if diff_wraps:
-        return WrapKind.DIFF
-    return WrapKind.NONE
-
-
-def wrap_parity_test(n: int, e: Edge) -> bool:
-    """For odd n: an edge wraps iff its centered S and D coordinates have
-    different parities."""
-    if n % 2 == 0:
-        raise ValueError("wrap_parity_test is defined for odd n only")
-    cs = centered(n, e.s(n))
-    cd = centered(n, e.d(n))
-    return (cs - cd) % 2 == 1
 
 
 @dataclass(frozen=True)
@@ -197,7 +159,7 @@ class TorusGraph:
         for v in self.removed:
             if v.part not in self.parts():
                 raise ValueError(f"removed vertex {v} not on this board")
-            if not (0 <= v.coord < self.part_size(v.part)):
+            if not (0 <= v.coord < self.n):
                 raise ValueError(f"removed vertex {v} out of range")
 
     def parts(self) -> tuple[Part, ...]:
@@ -205,102 +167,26 @@ class TorusGraph:
             return (Part.X, Part.Y, Part.S)
         return PART_ORDER
 
-    def part_size(self, part: Part) -> int:
-        if self.kind is BoardKind.QUEENS_CLASSICAL and part in (Part.S, Part.D):
-            return 2 * self.n - 1
-        return self.n
-
     def vertices(self) -> Iterator[Vertex]:
         for part in self.parts():
-            for c in range(self.part_size(part)):
+            for c in range(self.n):
                 v = Vertex(part, c)
                 if v not in self.removed:
                     yield v
 
     def vertex_count(self) -> int:
-        return sum(self.part_size(p) for p in self.parts()) - len(self.removed)
+        return self.n * len(self.parts()) - len(self.removed)
 
     def edge_vertices(self, e: Edge) -> tuple[Vertex, ...]:
         n = self.n
         if self.kind is BoardKind.SEMIQUEENS_TOROIDAL:
             return (Vertex(Part.X, e.x), Vertex(Part.Y, e.y), Vertex(Part.S, e.s(n)))
-        if self.kind is BoardKind.QUEENS_CLASSICAL:
-            # Classical diagonals do not wrap: s in 0..2n-2, d shifted
-            # by n-1 into 0..2n-2.
-            return (
-                Vertex(Part.X, e.x),
-                Vertex(Part.Y, e.y),
-                Vertex(Part.S, e.x + e.y),
-                Vertex(Part.D, e.x - e.y + n - 1),
-            )
         return e.vertices(n)
 
     def has_edge(self, e: Edge) -> bool:
         if not (0 <= e.x < self.n and 0 <= e.y < self.n):
             return False
         return not any(v in self.removed for v in self.edge_vertices(e))
-
-    def edges(self) -> Iterator[Edge]:
-        for x in range(self.n):
-            for y in range(self.n):
-                e = Edge(x, y)
-                if self.has_edge(e):
-                    yield e
-
-
-def edges_through(g: TorusGraph, v: Vertex) -> list[Edge]:
-    """All edges of g containing v, enumerated arithmetically."""
-    n = g.n
-    out = []
-    for e in _candidate_edges(n, v, g.kind):
-        if g.has_edge(e):
-            out.append(e)
-    return out
-
-
-def _candidate_edges(n: int, v: Vertex, kind: BoardKind) -> Iterator[Edge]:
-    if v.part is Part.X:
-        for y in range(n):
-            yield Edge(v.coord, y)
-    elif v.part is Part.Y:
-        for x in range(n):
-            yield Edge(x, v.coord)
-    elif v.part is Part.S:
-        if kind is BoardKind.QUEENS_CLASSICAL:
-            for x in range(n):
-                y = v.coord - x
-                if 0 <= y < n:
-                    yield Edge(x, y)
-        else:
-            for x in range(n):
-                yield Edge(x, (v.coord - x) % n)
-    else:
-        if kind is BoardKind.QUEENS_CLASSICAL:
-            for x in range(n):
-                y = x - (v.coord - (n - 1))
-                if 0 <= y < n:
-                    yield Edge(x, y)
-        else:
-            for x in range(n):
-                yield Edge(x, (x - v.coord) % n)
-
-
-def edges_into(g: TorusGraph, v: Vertex, interval: Interval) -> list[Edge]:
-    """Edges containing v whose other vertices all lie in the interval."""
-    n = g.n
-    out = []
-    for e in edges_through(g, v):
-        others = [w for w in g.edge_vertices(e) if w != v]
-        if all(interval.contains(n, w) for w in others):
-            out.append(e)
-    return out
-
-
-def pair_degree(g: TorusGraph, u: Vertex, v: Vertex) -> int:
-    """Number of edges of g containing both u and v (u, v in different parts)."""
-    if u.part == v.part:
-        raise ValueError("pair_degree requires vertices in different parts")
-    return sum(1 for e in edges_through(g, u) if v in g.edge_vertices(e))
 
 
 def attacks(n: int, mode: str, q1: tuple[int, int], q2: tuple[int, int]) -> bool:
@@ -361,21 +247,6 @@ def verify_matching(
     return MatchingReport(True, False)
 
 
-def parity_census(
-    n: int, vertices: Iterable[Vertex]
-) -> tuple[int, int, int, int, int]:
-    """(odd-S, even-S, odd-D, even-D, disparity) counts over centered
-    coordinates of the given vertex set."""
-    os = es = od = ed = 0
-    for v in vertices:
-        p = centered(n, v.coord) % 2
-        if v.part is Part.S:
-            os, es = os + p, es + (1 - p)
-        elif v.part is Part.D:
-            od, ed = od + p, ed + (1 - p)
-    return (os, es, od, ed, abs(os - od))
-
-
 # --- JSON I/O -----------------------------------------------------------
 
 
@@ -388,20 +259,49 @@ def placement_to_json(n: int, mode: str, queens: Sequence[tuple[int, int]]) -> d
     }
 
 
-def placement_from_json(obj: dict) -> tuple[int, str, list[tuple[int, int]]]:
-    n = int(obj["n"])
+def placement_from_json(obj: object) -> tuple[int, str, list[tuple[int, int]]]:
+    """Parse :func:`placement_to_json` output; PreconditionError names the
+    first bad field by its path, such as ``queens[0][1]``."""
+    if not isinstance(obj, dict):
+        raise PreconditionError("top level", "must be a JSON object")
+    n = _json_int(obj, "n")
     if n < 1:
-        raise ValueError("n: must be a positive integer")
-    mode = obj["mode"]
-    if mode not in ("toroidal", "classical"):
-        raise ValueError("mode: must be 'toroidal' or 'classical'")
+        raise PreconditionError("n", "n: must be a positive integer")
+    if obj.get("mode") not in ("toroidal", "classical"):
+        raise PreconditionError("mode", "mode: must be 'toroidal' or 'classical'")
+    if not isinstance(obj.get("queens"), list):
+        raise PreconditionError("queens", "must be a JSON array" if "queens" in obj else "missing")
     queens = []
     for i, rc in enumerate(obj["queens"]):
-        r, c = int(rc[0]), int(rc[1])
+        if not (isinstance(rc, list) and len(rc) == 2):
+            raise PreconditionError(f"queens[{i}]", "must be a [row, column] pair")
+        r, c = _json_int(rc, 0, i, "queens"), _json_int(rc, 1, i, "queens")
         if not (0 <= r < n and 0 <= c < n):
-            raise ValueError(f"queens[{i}]: coordinates out of range for n={n}")
+            raise PreconditionError(
+                f"queens[{i}]", f"queens[{i}]: coordinates out of range for n={n}"
+            )
         queens.append((r, c))
-    return n, mode, queens
+    return n, obj["mode"], queens
+
+
+def _json_int(
+    obj: dict | list, key: str | int, i: int | None = None, array: str = "entries"
+) -> int:
+    """obj[key], which must be a JSON integer (not a float, string or
+    bool); a list obj must have index key.  When obj is item i of the
+    JSON array named array, errors name the field ``array[i].key`` (or
+    ``array[i][key]`` for a list)."""
+    try:
+        val = obj[key]
+        if type(val) is int:
+            return val
+        why = f"must be an integer, got {json.dumps(val)}"
+    except KeyError:
+        why = "missing"
+    if i is None:
+        raise PreconditionError(str(key), why)
+    sub = f"[{key}]" if isinstance(obj, list) else f".{key}"
+    raise PreconditionError(f"{array}[{i}]{sub}", why)
 
 
 def dumps(obj: dict) -> str:

@@ -469,9 +469,7 @@ def bidc_reduce(v: SupportVector) -> DecompositionResult:
 # --- bounded decomposition of general lattice vectors -------------------
 
 
-def _exact_matching_cover(
-    target: SupportVector, node_cap: int = 200_000
-) -> list[Edge] | None:
+def _exact_matching_cover(target: SupportVector) -> list[Edge] | None:
     """A matching whose shadow equals target exactly, if one is found.
 
     Only applicable to all-ones targets with the same number of units in
@@ -489,6 +487,7 @@ def _exact_matching_cover(
     rows = units[Part.X]
     cols, ss, ds = (set(units[p]) for p in (Part.Y, Part.S, Part.D))
     nodes = 0
+    node_cap = 200_000
     acc: list[Edge] = []
 
     def dfs(i: int) -> bool:
@@ -735,7 +734,8 @@ def zero_sum_support(u: SupportVector, avoid_wrap: bool = True) -> SignedEdgeSet
         return edge_at_centered(n, (s_c + d_c) // 2, (s_c - d_c) // 2)
 
     # Balanced: pair within each centered parity class p, so that no edge
-    # wraps.  Otherwise (odd n, wrap permitted): pair all units freely.
+    # leaves the centered range.  Otherwise (odd n, wrap permitted): pair
+    # all units freely.
     phi = SignedEdgeSet(n)
     for p in (0, 1) if balanced else (None,):
         sp: list[int] = []
@@ -880,19 +880,13 @@ def to_matching_pair(
     max_edges = 64 + 4 * phi.size()
     scan_budget = 200_000  # candidate configurations across the whole call
 
-    def covers() -> tuple[dict[Vertex, int], dict[Vertex, int]]:
-        pos: dict[Vertex, int] = {}
-        neg: dict[Vertex, int] = {}
-        for e, m in work.entries.items():
-            for v in e.vertices(n):
-                if m > 0:
-                    pos[v] = pos.get(v, 0) + m
-                else:
-                    neg[v] = neg.get(v, 0) - m
-        return pos, neg
+    def cover(sign: int) -> dict[Vertex, int]:
+        """How often the edges of work with this sign cover each vertex."""
+        edges = {e: sign * m for e, m in work.entries.items() if sign * m > 0}
+        return shadow(SignedEdgeSet(n, edges)).entries
 
     while True:
-        pos, neg = covers()
+        pos, neg = cover(1), cover(-1)
         conflicts = sorted(
             (v for v in set(pos) | set(neg) if pos.get(v, 0) >= 2 or neg.get(v, 0) >= 2),
             key=lambda v: (_TMATCH_PART_ORDER[v.part], v.coord),

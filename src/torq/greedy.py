@@ -217,8 +217,6 @@ def run_greedy(
     from the vertex-alive masks every 256 steps and after the last one,
     and compared.
     """
-    if g.kind is BoardKind.QUEENS_CLASSICAL:
-        raise PreconditionError("kind", "greedy process runs on toroidal boards")
     if not (0.0 < stop_fraction <= 1.0):
         raise PreconditionError("stop-fraction", "stop_fraction must be in (0, 1]")
     n = g.n
@@ -352,8 +350,6 @@ def knuth_count_estimator(g: TorusGraph, trials: int, seed: int = 0) -> float:
     SeedSequence([seed, t]), making each trial individually
     reproducible.
     """
-    if g.kind is BoardKind.QUEENS_CLASSICAL:
-        raise PreconditionError("kind", "estimator runs on toroidal boards")
     n = g.n
     parts = g.parts()
     base_alive = [True] * (n * n)

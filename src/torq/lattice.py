@@ -20,11 +20,10 @@ congruence tests at small n.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
-from .board import Edge, Part, PART_ORDER, Vertex
+from .board import Edge, Part, PART_ORDER, Vertex, _json_int
 from .errors import PreconditionError
 
 QUEENS_PARTS = PART_ORDER
@@ -142,11 +141,6 @@ class SupportVector(_Counter):
     def is_zero(self) -> bool:
         return not self.entries
 
-    def restricted(self, part: Part) -> "SupportVector":
-        return SupportVector(
-            self.n, {v: w for v, w in self.entries.items() if v.part is part}, self.kind
-        )
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -240,18 +234,6 @@ class SignedEdgeSet(_Counter):
 
 
 _PARTS = {p.value: p for p in Part}
-
-
-def _json_int(obj: dict, key: str, i: int | None = None) -> int:
-    """obj[key], which must be a JSON integer (not a float, string or
-    bool); i is the index of obj in ``entries`` when obj is an entry."""
-    val = obj.get(key)
-    if type(val) is int:
-        return val
-    name = key if i is None else f"entries[{i}].{key}"
-    if key not in obj:
-        raise PreconditionError(name, "missing")
-    raise PreconditionError(name, f"must be an integer, got {json.dumps(val)}")
 
 
 def _from_json(
@@ -363,10 +345,6 @@ def check_lattice_semiqueens(v: SupportVector) -> Verdict:
     return Verdict(True)
 
 
-def in_lattice_semiqueens(v: SupportVector) -> bool:
-    return check_lattice_semiqueens(v).ok
-
-
 def check_sublattice_S(v: SupportVector) -> Verdict:
     """Membership in the one-part sublattice: lattice members supported on
     the S part only.
@@ -463,37 +441,6 @@ def expand(n: int, g: Generator, kind: str = "queens") -> SupportVector:
         (Part.D, a - c, t), (Part.D, b - d, t), (Part.D, a - d, -t), (Part.D, b - c, -t),
     ]
     return sv(n, items, kind)
-
-
-def simple_matrix_decompose(a_mat: Sequence[Sequence[int]]) -> list[Generator]:
-    """Express an integer matrix with zero row and column sums as a sum of
-    simple matrices; at most ceil(sum|a_ij| / 2) of them."""
-    m = [list(map(int, row)) for row in a_mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if any(len(r) != cols for r in m):
-        raise ValueError("matrix must be rectangular")
-    if any(sum(r) != 0 for r in m) or any(
-        sum(m[i][j] for i in range(rows)) != 0 for j in range(cols)
-    ):
-        raise ValueError("matrix must have zero row and column sums")
-    out: list[Generator] = []
-    while True:
-        pivot = next(
-            ((i, j) for i in range(rows) for j in range(cols) if m[i][j] > 0), None
-        )
-        if pivot is None:
-            break
-        a, c = pivot
-        b = next(i for i in range(rows) if m[i][c] < 0)
-        d = next(j for j in range(cols) if m[a][j] < 0)
-        # Subtract the simple matrix +1@(a,c),(b,d) / -1@(a,d),(b,c).
-        m[a][c] -= 1
-        m[b][d] -= 1
-        m[a][d] += 1
-        m[b][c] += 1
-        out.append(Generator("simple-matrix", (a, b, c, d), 1))
-    return out
 
 
 # --- independent membership oracle --------------------------------------

@@ -609,25 +609,23 @@ def extend_classical_search(
     n: int,
     budget_seconds: float = 60.0,
     seed: int = 0,
-    restarts_per_wset: int = 8,
 ) -> ClassicalExtension:
     """Classical extension over successive WSets within a time budget.
 
     At desk scale the lexicographically smallest WSet often leaves a
     punctured torus with no perfect matching at all, so this walks the
-    WSets in lexicographic order, giving each at most restarts_per_wset
-    restarts of extend_classical's node-capped DFS (provably empty
-    punctured tori are dismissed in one exhausted restart).  The answer
-    depends only on (n, seed, restarts_per_wset); running out of
-    budget_seconds aborts the walk with CapacityError, it never moves on
-    to another WSet.
+    WSets in lexicographic order, giving each at most eight restarts of
+    extend_classical's node-capped DFS (provably empty punctured tori
+    are dismissed in one exhausted restart).  The answer depends only
+    on (n, seed); running out of budget_seconds aborts the walk with
+    CapacityError, it never moves on to another WSet.
     """
     deadline = time.monotonic() + budget_seconds
     for w in wset_candidates(n):
         try:
             return extend_classical(
                 n, w, budget_seconds=deadline - time.monotonic(),
-                max_restarts=restarts_per_wset, seed=seed,
+                max_restarts=8, seed=seed,
             )
         except CapacityError:
             if time.monotonic() > deadline:

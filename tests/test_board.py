@@ -1,7 +1,7 @@
-"""Board model: coordinates, wraps, intervals, graphs, matchings."""
+"""Board model: coordinates, wrap parity, intervals, graphs, matchings."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from torq.board import (
     BoardKind,
@@ -16,18 +16,12 @@ from torq.board import (
     centered_range,
     edge_at_centered,
     edge_of,
-    edges_into,
-    edges_through,
-    pair_degree,
-    parity_census,
     placement_from_json,
     placement_to_json,
     square,
     verify_matching,
-    wrap_parity_test,
-    wraps,
-    WrapKind,
 )
+from torq.errors import PreconditionError
 
 
 class TestCentered:
@@ -66,17 +60,16 @@ class TestEdges:
 
     @given(st.integers(3, 30), st.data())
     def test_wrap_parity_against_classification(self, n, data):
+        """Odd n: exactly one of an edge's centered sum and difference
+        leaves the centered range iff its centered S and D coordinates
+        differ in parity (the identity parity_track relies on)."""
         if n % 2 == 0:
             n += 1
         e = Edge(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
-        single = wraps(n, e) in (WrapKind.SUM, WrapKind.DIFF)
-        assert wrap_parity_test(n, e) == single
-
-    def test_wrap_kinds(self):
-        n = 9
-        assert wraps(n, Edge(0, 0)) is WrapKind.NONE
-        assert wraps(n, Edge(4, 4)) is WrapKind.SUM  # centered sum 8 wraps
-        assert wraps(n, Edge(4, 5)) is WrapKind.DIFF  # centered diff -5 wraps
+        lo, hi = centered_range(n)
+        cx, cy = centered(n, e.x), centered(n, e.y)
+        single = (lo <= cx + cy <= hi) != (lo <= cx - cy <= hi)
+        assert ((centered(n, e.s(n)) - centered(n, e.d(n))) % 2 == 1) == single
 
 
 class TestIntervals:
@@ -98,34 +91,32 @@ class TestTorusGraph:
     def test_full_board_counts(self):
         g = TorusGraph(6)
         assert g.vertex_count() == 24
-        assert sum(1 for _ in g.edges()) == 36
-        assert all(len(edges_through(g, v)) == 6 for v in g.vertices())
+        edges = [Edge(x, y) for x in range(6) for y in range(6) if g.has_edge(Edge(x, y))]
+        assert len(edges) == 36
+        degree = {v: 0 for v in g.vertices()}
+        for e in edges:
+            for v in g.edge_vertices(e):
+                degree[v] += 1
+        assert set(degree.values()) == {6}
 
     def test_semi_board(self):
         g = TorusGraph(5, BoardKind.SEMIQUEENS_TOROIDAL)
         assert g.parts() == (Part.X, Part.Y, Part.S)
         assert g.vertex_count() == 15
 
-    def test_classical_diagonal_parts(self):
-        g = TorusGraph(4, BoardKind.QUEENS_CLASSICAL)
-        assert g.part_size(Part.S) == 7
-        assert g.vertex_count() == 2 * 4 + 2 * 7
-
     def test_removed_vertex_punctures_lines(self):
         g = TorusGraph(7, removed=frozenset({Vertex(Part.S, 3)}))
-        assert sum(1 for _ in g.edges()) == 49 - 7
-        assert all(e.s(7) != 3 for e in g.edges())
+        live = [Edge(x, y) for x in range(7) for y in range(7) if g.has_edge(Edge(x, y))]
+        assert len(live) == 49 - 7
+        assert all(e.s(7) != 3 for e in live)
+        assert g.vertex_count() == 28 - 1
 
     def test_pair_degree_is_one_on_queens_board(self):
         g = TorusGraph(7)
-        assert pair_degree(g, Vertex(Part.X, 1), Vertex(Part.S, 4)) == 1
-
-    def test_edges_into_interval(self):
-        g = TorusGraph(13)
-        inside = edges_into(g, Vertex(Part.X, 0), square(2))
-        assert inside
-        assert all(square(2).contains(13, w) for e in inside
-                   for w in e.vertices(13) if w.part is not Part.X)
+        u, v = Vertex(Part.X, 1), Vertex(Part.S, 4)
+        through = [Edge(x, y) for x in range(7) for y in range(7)
+                   if {u, v} <= set(g.edge_vertices(Edge(x, y)))]
+        assert through == [Edge(1, 3)]
 
 
 class TestAttacks:
@@ -160,10 +151,6 @@ class TestMatching:
         report = verify_matching(g, m, require_perfect=True)
         assert report.valid and report.perfect
 
-    def test_parity_census_full_board_balanced(self):
-        _, _, _, _, disparity = parity_census(9, TorusGraph(9).vertices())
-        assert disparity == 0
-
 
 class TestPlacementJson:
     def test_round_trip(self):
@@ -178,3 +165,46 @@ class TestPlacementJson:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError, match="n:"):
             placement_from_json({"n": 0, "mode": "toroidal", "queens": []})
+
+    @pytest.mark.parametrize("obj,field", [
+        ([], "top level"),
+        ({"mode": "toroidal", "queens": []}, "n"),
+        ({"n": 5.9, "mode": "toroidal", "queens": [[0, 1.7], ["2", True]]}, "n"),
+        ({"n": 5, "mode": "toroidal", "queens": [[0, 1.7], ["2", True]]}, "queens[0][1]"),
+        ({"n": 5, "mode": "toroidal", "queens": [[0, 1], ["2", True]]}, "queens[1][0]"),
+        ({"n": 5, "mode": "toroidal", "queens": [[1]]}, "queens[0]"),
+        ({"n": 5, "mode": "toroidal"}, "queens"),
+        ({"n": 5, "mode": 7, "queens": []}, "mode"),
+    ])
+    def test_rejects_non_integers_naming_the_field(self, obj, field):
+        with pytest.raises(PreconditionError) as exc:
+            placement_from_json(obj)
+        assert exc.value.condition == field
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=12)
+    | st.sampled_from(["n", "mode", "queens", "toroidal", "classical"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "mode", "queens", "x"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(JSON_VALUES)
+@example({"n": 5.9, "mode": "toroidal", "queens": [[0, 1.7], ["2", True]]})
+@example({"n": 5, "mode": "classical", "queens": [[0, 4], [3, 2]]})
+def test_placement_from_json_returns_a_placement_or_names_the_field(obj):
+    """Any JSON value parses to a well-formed placement or raises
+    PreconditionError; it is never coerced and never fails otherwise."""
+    try:
+        n, mode, queens = placement_from_json(obj)
+    except PreconditionError as exc:
+        assert exc.condition
+        return
+    assert type(obj["n"]) is int and obj["n"] == n >= 1
+    assert obj["mode"] == mode in ("toroidal", "classical")
+    assert len(obj["queens"]) == len(queens)
+    for rc, (r, c) in zip(obj["queens"], queens):
+        assert [type(v) for v in rc] == [int, int] and rc == [r, c]
+        assert 0 <= r < n and 0 <= c < n

@@ -67,11 +67,6 @@ class TestRunGreedy:
         g = TorusGraph(40)
         assert run_greedy(g, 1, 0.7, debug=True) == run_greedy(g, 1, 0.7)
 
-    def test_rejects_classical_board(self):
-        with pytest.raises(PreconditionError) as exc:
-            run_greedy(TorusGraph(8, BoardKind.QUEENS_CLASSICAL), 0, 0.5)
-        assert exc.value.condition == "kind"
-
     def test_rejects_bad_stop_fraction(self):
         with pytest.raises(PreconditionError) as exc:
             run_greedy(TorusGraph(8), 0, 0.0)
