@@ -5,6 +5,8 @@ hypergraph: parts X (rows), Y (columns), S (sum diagonals, X+Y) and
 D (difference diagonals, X-Y), each with n vertices indexed by residues
 mod n.  Placing a queen at (x, y) uses the edge
 (x, y, x+y mod n, x-y mod n).  The semi-queens variant drops the D part.
+Each edge has an int mask with one bit per vertex, and one depth-first
+search over such masks finds perfect matchings of punctured boards.
 
 Coordinates are stored as canonical residues 0..n-1; the "centered"
 representative (odd n: [-(n-1)/2, (n-1)/2], even n: [-n/2+1, n/2]) is a
@@ -14,6 +16,7 @@ derived view used for interval geometry.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -154,6 +157,8 @@ class TorusGraph:
     removed: frozenset[Vertex] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, BoardKind):
+            raise PreconditionError("kind", f"must be a BoardKind, got {self.kind!r}")
         if self.n < 1:
             raise PreconditionError("n", "board side must be >= 1")
         for v in self.removed:
@@ -182,6 +187,16 @@ class TorusGraph:
         if self.kind is BoardKind.SEMIQUEENS_TOROIDAL:
             return (Vertex(Part.X, e.x), Vertex(Part.Y, e.y), Vertex(Part.S, e.s(n)))
         return e.vertices(n)
+
+    def edge_mask(self, e: Edge) -> int:
+        """An int with bit i*n + c set for e's vertex (parts()[i], c) in
+        each part i: two edges of this board share a vertex exactly when
+        their masks share a bit."""
+        n, x, y = self.n, e.x, e.y
+        mask = 1 << x | 1 << (n + y) | 1 << (2 * n + (x + y) % n)
+        if self.kind is BoardKind.QUEENS_TOROIDAL:
+            mask |= 1 << (3 * n + (x - y) % n)
+        return mask
 
     def has_edge(self, e: Edge) -> bool:
         if not (0 <= e.x < self.n and 0 <= e.y < self.n):
@@ -245,6 +260,37 @@ def verify_matching(
         uncovered = tuple(v for v in g.vertices() if v not in seen)
         return MatchingReport(True, not uncovered, uncovered=uncovered)
     return MatchingReport(True, False)
+
+
+def _first_matching(
+    rows: Sequence[Sequence[tuple[Edge, int]]], node_cap: int, deadline: float | None = None
+) -> tuple[list[Edge] | None, bool]:
+    """The first pick of one (edge, edge mask) candidate per row, in the
+    order listed, whose masks are pairwise disjoint; or None.  Each row
+    visited is a node, and the search stops past node_cap nodes or the
+    time.monotonic() deadline.  The flag says it stopped early."""
+    chosen: list[Edge] = []
+    nodes = 0
+    truncated = False
+
+    def rec(idx: int, used: int) -> bool:
+        nonlocal nodes, truncated
+        if idx == len(rows):
+            return True
+        nodes += 1
+        if nodes > node_cap or (deadline is not None and time.monotonic() > deadline):
+            truncated = True
+            return False
+        for e, mask in rows[idx]:
+            if used & mask:
+                continue
+            chosen.append(e)
+            if rec(idx + 1, used | mask):
+                return True
+            chosen.pop()
+        return False
+
+    return (chosen if rec(0, 0) else None), truncated
 
 
 # --- JSON I/O -----------------------------------------------------------

@@ -30,6 +30,7 @@ from .board import (
     Part,
     TorusGraph,
     Vertex,
+    _first_matching,
     centered,
     edge_at_centered,
     edge_of,
@@ -473,9 +474,9 @@ def _exact_matching_cover(target: SupportVector) -> list[Edge] | None:
     """A matching whose shadow equals target exactly, if one is found.
 
     Only applicable to all-ones targets with the same number of units in
-    every part; searches by backtracking with a node cap, returning None
-    when the target is out of scope, no matching exists, or the cap is
-    hit.
+    every part; tries each row unit's columns in ascending order with the
+    shared matching DFS, returning None when the target is out of scope,
+    no matching exists, or the search visits 200,000 rows.
     """
     n = target.n
     if not target.entries or any(w != 1 for w in target.entries.values()):
@@ -484,39 +485,13 @@ def _exact_matching_cover(target: SupportVector) -> list[Edge] | None:
     k = len(units[Part.X])
     if any(len(units[p]) != k for p in PART_ORDER):
         return None
-    rows = units[Part.X]
-    cols, ss, ds = (set(units[p]) for p in (Part.Y, Part.S, Part.D))
-    nodes = 0
-    node_cap = 200_000
-    acc: list[Edge] = []
-
-    def dfs(i: int) -> bool:
-        nonlocal nodes
-        if i == k:
-            return True
-        x = rows[i]
-        for y in sorted(cols):
-            nodes += 1
-            if nodes > node_cap:
-                return False
-            s, d = (x + y) % n, (x - y) % n
-            if y not in cols or s not in ss or d not in ds:
-                continue
-            cols.remove(y)
-            ss.remove(s)
-            ds.remove(d)
-            acc.append(Edge(x, y))
-            if dfs(i + 1):
-                return True
-            acc.pop()
-            cols.add(y)
-            ss.add(s)
-            ds.add(d)
-            if nodes > node_cap:
-                return False
-        return False
-
-    return acc if dfs(0) else None
+    g = TorusGraph(n)
+    ss, ds = set(units[Part.S]), set(units[Part.D])
+    rows = []
+    for x in units[Part.X]:
+        edges = (Edge(x, y) for y in units[Part.Y])
+        rows.append([(e, g.edge_mask(e)) for e in edges if e.s(n) in ss and e.d(n) in ds])
+    return _first_matching(rows, 200_000)[0]
 
 
 def _put_edge(phi: SignedEdgeSet, residual: SupportVector, e: Edge, m: int) -> None:
@@ -708,57 +683,51 @@ def _balance_counts(u: SupportVector) -> tuple[int, int]:
     return odd, even
 
 
-def zero_sum_support(u: SupportVector, avoid_wrap: bool = True) -> SignedEdgeSet:
+def zero_sum_support(u: SupportVector) -> SignedEdgeSet:
     """Clear the diagonal parts of a vector by pairing units with edges.
 
     Returns ``phi`` with ``u + shadow(phi)`` supported on rows and
-    columns only.  With ``avoid_wrap`` every added edge has both
-    centered diagonal coordinates equal to the unit it cancels (possible
-    exactly when the centered-parity balance between the two diagonal
-    parts holds); without it, odd boards may pair across parity classes.
+    columns only.  Every added edge has both centered diagonal
+    coordinates equal to the unit it cancels, which is possible exactly
+    when the centered-parity balance between the two diagonal parts
+    holds.
     """
     n = u.n
     odd, even = _balance_counts(u)
-    balanced = odd == 0 and even == 0
-    if not balanced and (avoid_wrap or n % 2 == 0):
+    if odd != 0 or even != 0:
         raise PreconditionError(
             "parity-balance",
             "diagonal parity classes are unbalanced between the sum and difference parts",
         )
 
     def edge(s_c: int, d_c: int) -> Edge:
-        """The edge on centered diagonals s_c and d_c.  When their
-        parities differ (odd n, wrap permitted) s_c + n stands for s_c."""
-        if (s_c - d_c) % 2:
-            s_c += n
+        """The edge on centered diagonals s_c and d_c of equal parity."""
         return edge_at_centered(n, (s_c + d_c) // 2, (s_c - d_c) // 2)
 
-    # Balanced: pair within each centered parity class p, so that no edge
-    # leaves the centered range.  Otherwise (odd n, wrap permitted): pair
-    # all units freely.
+    # Pair within each centered parity class p, so that no edge leaves
+    # the centered range; same-part pairs meet the other diagonal at p.
     phi = SignedEdgeSet(n)
-    for p in (0, 1) if balanced else (None,):
+    for p in (0, 1):
         sp: list[int] = []
         sm: list[int] = []
         dp: list[int] = []
         dm: list[int] = []
         for v, w in sorted(u.entries.items()):
             c = centered(n, v.coord)
-            if v.part not in (Part.S, Part.D) or (p is not None and c % 2 != p):
+            if v.part not in (Part.S, Part.D) or c % 2 != p:
                 continue
             target = (sp if w > 0 else sm) if v.part is Part.S else (dp if w > 0 else dm)
             target.extend([c] * abs(w))
-        o = p or 0  # where same-part pairs meet the other diagonal
         while sp and dp:
             phi.add(edge(sp.pop(), dp.pop()), -1)
         while sm and dm:
             phi.add(edge(sm.pop(), dm.pop()), 1)
         while sp and sm:
-            phi.add(edge(sp.pop(), o), -1)
-            phi.add(edge(sm.pop(), o), 1)
+            phi.add(edge(sp.pop(), p), -1)
+            phi.add(edge(sm.pop(), p), 1)
         while dp and dm:
-            phi.add(edge(o, dp.pop()), -1)
-            phi.add(edge(o, dm.pop()), 1)
+            phi.add(edge(p, dp.pop()), -1)
+            phi.add(edge(p, dm.pop()), 1)
         if sp or sm or dp or dm:
             raise VerificationError("zero-summing left unpaired diagonal units")
 
@@ -811,7 +780,7 @@ def cover_leave(leave: SupportVector, radius: int) -> DecompositionResult:
         phases.append(("push-down", 1, phi_step.size()))
         t //= 2
 
-    phi_step = zero_sum_support(r, avoid_wrap=True)
+    phi_step = zero_sum_support(r)
     steps += phi_step
     r = r + shadow(phi_step)
     phases.append(("zero-sum", 1, phi_step.size()))

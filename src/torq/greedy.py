@@ -104,18 +104,6 @@ def _centered_parity(n: int) -> np.ndarray:
     return np.where(c > n // 2, c - n, c) % 2
 
 
-def _line_ids(n: int, part: Part, coord: int) -> np.ndarray:
-    """Edge ids (x*n + y) of all edges through the given vertex."""
-    t = np.arange(n)
-    if part is Part.X:
-        return coord * n + t
-    if part is Part.Y:
-        return t * n + coord
-    if part is Part.S:
-        return t * n + (coord - t) % n
-    return t * n + (t - coord) % n
-
-
 class _LiveBoard:
     """The surviving part of a board, held in O(n) state.
 
@@ -346,49 +334,27 @@ def knuth_count_estimator(g: TorusGraph, trials: int, seed: int = 0) -> float:
     is exactly the number of ordered sequences of edges forming a
     perfect matching, i.e. n! times the perfect-matching count.
     Products are accumulated as exact integers, so no intermediate
-    rounding occurs.  Trial t draws from the child stream
-    SeedSequence([seed, t]), making each trial individually
+    rounding occurs.  A run holds the live edges' masks in (x, y) order
+    and, as _LiveBoard.sample does, takes the r-th for r uniform below
+    Q(i), then drops every mask that meets it.  Trial t draws from the
+    child stream SeedSequence([seed, t]), making each trial individually
     reproducible.
     """
     n = g.n
-    parts = g.parts()
-    base_alive = [True] * (n * n)
-    for v in g.removed:
-        for eid in _line_ids(n, v.part, v.coord):
-            base_alive[int(eid)] = False
-    m_max = n - max(sum(1 for v in g.removed if v.part is part) for part in parts)
-    has_d = Part.D in parts
-    lines = {
-        part: [[int(e) for e in _line_ids(n, part, c)] for c in range(n)]
-        for part in parts
-    }
+    edges = (Edge(x, y) for x in range(n) for y in range(n))
+    masks = [g.edge_mask(e) for e in edges if g.has_edge(e)]
+    m_max = n - max(sum(1 for v in g.removed if v.part is part) for part in g.parts())
 
     total = 0
     for t in range(trials):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
-        alive = base_alive.copy()
-        pool = [i for i in range(n * n) if alive[i]]
-        q = len(pool)
+        live = masks
         product = 1
         placed = 0
-        while placed < m_max and q > 0:
-            product *= q
-            if 2 * q < len(pool):
-                pool = [i for i in pool if alive[i]]
-            while True:
-                eid = pool[int(rng.integers(len(pool)))]
-                if alive[eid]:
-                    break
-            x0, y0 = divmod(eid, n)
-            touched = (
-                lines[Part.X][x0] + lines[Part.Y][y0] + lines[Part.S][(x0 + y0) % n]
-            )
-            if has_d:
-                touched += lines[Part.D][(x0 - y0) % n]
-            for other in touched:
-                if alive[other]:
-                    alive[other] = False
-                    q -= 1
+        while placed < m_max and live:
+            product *= len(live)
+            pick = live[int(rng.integers(len(live)))]
+            live = [m for m in live if not m & pick]
             placed += 1
         if placed == m_max:
             total += product

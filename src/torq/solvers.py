@@ -10,10 +10,10 @@ queens (three pairs on each diagonal family).
 Every search keeps its state in int bitmasks: used columns and diagonal
 classes (toroidal diagonals are read per row by rotating the mask with
 ``_rot``), the WSet search's used elements and classes, and in the
-punctured-torus DFS one int whose column, sum and difference bits each
-candidate square is tested against in one AND.  Search budgets count
-restarts and nodes, so the answer never depends on machine speed; wall
-clock only aborts a run.
+punctured-torus matching search (``torq.board``'s shared DFS) the union
+of the chosen squares' edge masks, which each candidate is tested
+against in one AND.  Search budgets count restarts and nodes, so the
+answer never depends on machine speed; wall clock only aborts a run.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .board import (
     Part,
     TorusGraph,
     Vertex,
+    _first_matching,
     attacks,
     placement_to_json,
     verify_matching,
@@ -541,13 +542,12 @@ def extend_classical(
     queens.  Raises CapacityError when the budget is exhausted.
     """
     _verify_wset(w)
-    removed = {part: set() for part in (Part.X, Part.Y, Part.S, Part.D)}
-    for v in w.removed_vertices:
-        removed[v.part].add(v.coord)
-    rows = [r for r in range(n) if r not in removed[Part.X]]
-    cols = [c for c in range(n) if c not in removed[Part.Y]]
+    tstar = TorusGraph(n, removed=w.removed_vertices)
+    rows = [r for r in range(n) if Vertex(Part.X, r) not in tstar.removed]
+    cols = [c for c in range(n) if Vertex(Part.Y, c) not in tstar.removed]
+    edges = (Edge(r, c) for r in rows for c in cols)
+    squares = {(e.x, e.y): (e, tstar.edge_mask(e)) for e in edges if tstar.has_edge(e)}
     deadline = time.monotonic() + budget_seconds
-    node_cap = 50_000
 
     for restart in range(max_restarts):
         if time.monotonic() > deadline:
@@ -556,43 +556,14 @@ def extend_classical(
         order = rows[:]
         rng.shuffle(order)
         # One candidate list per row, in the shuffled column order, with
-        # squares on removed diagonals dropped.  Each mask packs the
-        # square's column, sum and difference bits into one int, so a
-        # square is free exactly when it shares no bit with used.
-        choices = []
-        for r in order:
-            row = []
-            for c in rng.sample(cols, len(cols)):
-                s, d = (r + c) % n, (r - c) % n
-                if s not in removed[Part.S] and d not in removed[Part.D]:
-                    row.append((r, c, 1 << c | 1 << (n + s) | 1 << (2 * n + d)))
-            choices.append(row)
-        chosen: list[tuple[int, int, int]] = []
-        nodes = 0
-        truncated = False
-
-        def rec(idx: int, used: int) -> bool:
-            nonlocal nodes, truncated
-            if idx == len(choices):
-                return True
-            nodes += 1
-            if nodes > node_cap or time.monotonic() > deadline:
-                truncated = True
-                return False
-            for square in choices[idx]:
-                mask = square[2]
-                if used & mask:
-                    continue
-                chosen.append(square)
-                if rec(idx + 1, used | mask):
-                    return True
-                chosen.pop()
-            return False
-
-        if rec(0, 0):
-            return _assemble_extension(
-                n, w, Matching.of([Edge(r, c) for r, c, _ in chosen])
-            )
+        # squares on removed diagonals dropped.
+        choices = [
+            [squares[r, c] for c in rng.sample(cols, len(cols)) if (r, c) in squares]
+            for r in order
+        ]
+        found, truncated = _first_matching(choices, 50_000, deadline)
+        if found is not None:
+            return _assemble_extension(n, w, Matching.of(found))
         if not truncated:
             # The restart ran to exhaustion: this punctured torus has no
             # perfect matching at all, so further restarts are pointless.

@@ -1,5 +1,7 @@
 """Board model: coordinates, wrap parity, intervals, graphs, matchings."""
 
+import time
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -10,6 +12,7 @@ from torq.board import (
     Part,
     TorusGraph,
     Vertex,
+    _first_matching,
     attacks,
     box,
     centered,
@@ -117,6 +120,49 @@ class TestTorusGraph:
         through = [Edge(x, y) for x in range(7) for y in range(7)
                    if {u, v} <= set(g.edge_vertices(Edge(x, y)))]
         assert through == [Edge(1, 3)]
+
+    @pytest.mark.parametrize("kind", ["semiqueens-toroidal", "queens-classical"])
+    def test_kind_must_be_a_board_kind(self, kind):
+        with pytest.raises(PreconditionError) as exc:
+            TorusGraph(5, kind)
+        assert exc.value.condition == "kind"
+
+
+class TestEdgeMask:
+    @pytest.mark.parametrize("kind", list(BoardKind))
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_masks_meet_iff_edges_share_a_vertex(self, kind, n):
+        g = TorusGraph(n, kind)
+        edges = [Edge(x, y) for x in range(n) for y in range(n)]
+        masks = [g.edge_mask(e) for e in edges]
+        verts = [set(g.edge_vertices(e)) for e in edges]
+        assert all(m.bit_count() == len(g.parts()) for m in masks)
+        for i in range(len(edges)):
+            for j in range(i + 1, len(edges)):
+                assert bool(masks[i] & masks[j]) == bool(verts[i] & verts[j])
+
+
+class TestFirstMatching:
+    @staticmethod
+    def rows(n):
+        """T(n) by rows, each row's squares in ascending column order."""
+        g = TorusGraph(n)
+        return [[(Edge(x, y), g.edge_mask(Edge(x, y))) for y in range(n)] for x in range(n)]
+
+    def test_finds_the_first_matching_in_row_order(self):
+        found, truncated = _first_matching(self.rows(5), 1000)
+        assert found == [Edge(x, 2 * x % 5) for x in range(5)] and not truncated
+        assert verify_matching(TorusGraph(5), found, require_perfect=True).perfect
+
+    def test_exhausted_search_is_not_truncated(self):
+        # T(6) has no perfect matching.
+        assert _first_matching(self.rows(6), 10**6) == (None, False)
+
+    def test_node_cap_truncates(self):
+        assert _first_matching(self.rows(6), 10) == (None, True)
+
+    def test_past_deadline_truncates(self):
+        assert _first_matching(self.rows(5), 1000, time.monotonic() - 1.0) == (None, True)
 
 
 class TestAttacks:

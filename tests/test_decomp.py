@@ -224,9 +224,6 @@ class TestZeroSumSupport:
         with pytest.raises(PreconditionError) as exc:
             zero_sum_support(u)
         assert exc.value.condition == "parity-balance"
-        phi = zero_sum_support(u, avoid_wrap=False)
-        cleared = u + shadow(phi)
-        assert all(v.part in (Part.X, Part.Y) for v in cleared.support())
 
 
 class TestCoverLeave:

@@ -2,6 +2,7 @@
 parity tracking, CSV export."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -23,6 +24,7 @@ from torq.greedy import (
     run_greedy,
     trace_to_csv,
 )
+from torq.solvers import count_semiqueens, count_toroidal
 
 
 class TestRunGreedy:
@@ -212,6 +214,32 @@ class TestKnuthEstimator:
 
     def test_unsolvable_board_is_zero(self):
         assert knuth_count_estimator(TorusGraph(6), trials=500, seed=0) == 0.0
+
+    # One trial's value has a standard deviation of about 1.4 times its
+    # mean on these boards, so over 5000 trials 10% is about five
+    # standard errors.
+    @pytest.mark.parametrize("g,want", [
+        (TorusGraph(7), math.factorial(7) * count_toroidal(7)),
+        (TorusGraph(7, BoardKind.SEMIQUEENS_TOROIDAL),
+         math.factorial(7) * count_semiqueens(7)),
+    ])
+    def test_matches_exact_counts_at_n7(self, g, want):
+        est = knuth_count_estimator(g, trials=5000, seed=1)
+        assert abs(est - want) <= 0.10 * want
+
+    def test_punctured_board(self):
+        # T(7) without X0, Y0, S0 and D0: the 6! orders of each perfect
+        # matching of the remaining 6x6 squares, counted by brute force.
+        removed = frozenset(Vertex(p, 0) for p in Part)
+        matchings = sum(
+            1 for cols in itertools.permutations(range(1, 7))
+            if len({(x + y) % 7 for x, y in zip(range(1, 7), cols)} - {0}) == 6
+            and len({(x - y) % 7 for x, y in zip(range(1, 7), cols)} - {0}) == 6
+        )
+        want = math.factorial(6) * matchings
+        assert want == 2880
+        est = knuth_count_estimator(TorusGraph(7, removed=removed), trials=5000, seed=1)
+        assert abs(est - want) <= 0.10 * want
 
 
 class TestParityTrack:
