@@ -368,6 +368,8 @@ def bidc_reduce(v: SupportVector) -> DecompositionResult:
     sublattice conditions; the output boundary equals the input exactly
     and vanishes on the other three parts along the way.
     """
+    if v.kind != "queens":
+        raise PreconditionError("kind", f"needs a queens vector, got kind {v.kind!r}")
     n = v.n
     if n < 4:
         raise PreconditionError("board-size", "reduction requires n >= 4")
@@ -415,7 +417,6 @@ def bidc_reduce(v: SupportVector) -> DecompositionResult:
     if total2 % (2 * n) != 0:
         raise VerificationError("second moment of the class residual is not a 2n multiple")
     k = total2 // (2 * n)
-    i2_steps = len(red.steps)
     if k:
         red.record("i2-zeroing", k, 0, 1, 2, (n - 2) % n)
         red.bump_class(1, -k)
@@ -425,11 +426,9 @@ def bidc_reduce(v: SupportVector) -> DecompositionResult:
         for p in _split_powers(n, (n - 2) % n):
             red.normalize(-k, pos, 1, p)
             pos += p
-    i2_steps = len(red.steps) - i2_steps
 
     # Binary carries: pairs of a base class fold into the next class.
     cap = (n // 2).bit_length() - 1
-    carry_steps = len(red.steps)
     for j in range(cap):
         cj = red.classes.get(j, 0)
         q, r = divmod(cj, 2)
@@ -441,16 +440,13 @@ def bidc_reduce(v: SupportVector) -> DecompositionResult:
             red.bump_class(j + 1, q)
         if r and j == 0 and n % 2 == 0:
             raise VerificationError("even-n parity invariant left a unit-class surplus")
-    carry_steps = len(red.steps) - carry_steps
     if any(red.classes.values()):
         raise VerificationError("class residual nonzero after carries")
 
     phi = SignedEdgeSet(n)
-    phase_edges: dict[str, int] = {}
     phase_gadgets: dict[str, int] = {}
     for phase, mult, a, b, c, s in red.steps:
         phase_gadgets[phase] = phase_gadgets.get(phase, 0) + abs(mult)
-        phase_edges[phase] = phase_edges.get(phase, 0) + 8 * abs(mult)
         for x, y, sign in _q_step_edges(n, a, b, c, s):
             phi.add(Edge(x, y), sign * mult)
     if shadow(phi) != v:
@@ -463,7 +459,8 @@ def bidc_reduce(v: SupportVector) -> DecompositionResult:
         ("power-of-2", rewrite_steps, 0),
     ]
     for name in ("shift-to-1", "base-shift", "i2-zeroing", "binary-carry"):
-        phases.append((name, phase_gadgets.get(name, 0), phase_edges.get(name, 0)))
+        gadgets = phase_gadgets.get(name, 0)
+        phases.append((name, gadgets, 8 * gadgets))
     return DecompositionResult(v, phi, tuple(phases))
 
 
@@ -509,6 +506,8 @@ def decompose_bounded(target: SupportVector) -> DecompositionResult:
     difference part away through signed simple matrices, then reduce the
     remaining sum-part vector.
     """
+    if target.kind != "queens":
+        raise PreconditionError("kind", f"needs a queens vector, got kind {target.kind!r}")
     n = target.n
     verdict = check_lattice_queens(target)
     if not verdict:
@@ -747,6 +746,8 @@ def cover_leave(leave: SupportVector, radius: int) -> DecompositionResult:
     interval of the given radius; (3) lattice membership; (4) balanced
     centered-parity counts between the two diagonal parts.
     """
+    if leave.kind != "queens":
+        raise PreconditionError("kind", f"needs a queens vector, got kind {leave.kind!r}")
     n = leave.n
     if any(w != 1 for w in leave.entries.values()):
         raise PreconditionError("qualifying-leave condition 1", "weights must be 0/1")

@@ -336,18 +336,17 @@ def knuth_count_estimator(g: TorusGraph, trials: int, seed: int = 0) -> float:
     Products are accumulated as exact integers, so no intermediate
     rounding occurs.  A run holds the live edges' masks in (x, y) order
     and, as _LiveBoard.sample does, takes the r-th for r uniform below
-    Q(i), then drops every mask that meets it.  Trial t draws from the
-    child stream SeedSequence([seed, t]), making each trial individually
-    reproducible.
+    Q(i), then drops every mask that meets it.  The trials draw in turn
+    from one stream, SeedSequence(seed).
     """
     n = g.n
     edges = (Edge(x, y) for x in range(n) for y in range(n))
     masks = [g.edge_mask(e) for e in edges if g.has_edge(e)]
     m_max = n - max(sum(1 for v in g.removed if v.part is part) for part in g.parts())
 
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     total = 0
-    for t in range(trials):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
+    for _ in range(trials):
         live = masks
         product = 1
         placed = 0

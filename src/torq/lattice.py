@@ -381,13 +381,11 @@ def in_sublattice_S(v: SupportVector) -> bool:
 
 @dataclass(frozen=True)
 class Generator:
-    """One of the four generator families.
+    """One of the three generator families.
 
     simple-matrix(a, b, c, d): +1 at matrix cells (a,c),(b,d), -1 at
     (a,d),(b,c) — rows a,b and columns c,d of an n x n integer matrix.
     sq-gen(a, b, c): S-weights (1,-1,-1,1) at (a, b, c, b+c-a).
-    two-part-gen(a, b, c, s): the sq-gen pattern on S paired with its
-    negation on D at (s-a, s-b, s-c, s-(b+c-a)).
     q-gen(a, b, c, s): offsets — (1,-1,-1,1) at (a, a+b, a+c, a+b+c)
     minus the same pattern shifted by s.
     """
@@ -396,7 +394,7 @@ class Generator:
     params: tuple[int, ...]
     sign: int = 1
 
-    _ARITY = {"simple-matrix": 4, "sq-gen": 3, "two-part-gen": 4, "q-gen": 4}
+    _ARITY = {"simple-matrix": 4, "sq-gen": 3, "q-gen": 4}
 
     def __post_init__(self) -> None:
         if self.kind not in self._ARITY:
@@ -425,14 +423,6 @@ def expand(n: int, g: Generator, kind: str = "queens") -> SupportVector:
             (s + a, -1), (s + a + b, 1), (s + a + c, 1), (s + a + b + c, -1),
         ):
             items.append((Part.S, coord, t * w))
-        return sv(n, items, kind)
-    if g.kind == "two-part-gen":
-        a, b, c, s = g.params
-        d = b + c - a
-        items = [
-            (Part.S, a, t), (Part.S, b, -t), (Part.S, c, -t), (Part.S, d, t),
-            (Part.D, s - a, -t), (Part.D, s - b, t), (Part.D, s - c, t), (Part.D, s - d, -t),
-        ]
         return sv(n, items, kind)
     # simple-matrix
     a, b, c, d = g.params

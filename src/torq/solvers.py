@@ -7,13 +7,13 @@ perfect matching of a punctured torus into a classical n-queens
 placement whose only toroidal attacks are six pairs among twelve fixed
 queens (three pairs on each diagonal family).
 
-Every search keeps its state in int bitmasks: used columns and diagonal
-classes (toroidal diagonals are read per row by rotating the mask with
-``_rot``), the WSet search's used elements and classes, and in the
-punctured-torus matching search (``torq.board``'s shared DFS) the union
-of the chosen squares' edge masks, which each candidate is tested
-against in one AND.  Search budgets count restarts and nodes, so the
-answer never depends on machine speed; wall clock only aborts a run.
+Every search keeps its state in int bitmasks: the columns and diagonals
+blocked in the current row, the WSet search's used elements and
+classes, and in the punctured-torus matching search (``torq.board``'s
+shared DFS) the union of the chosen squares' edge masks, which each
+candidate is tested against in one AND.  Search budgets count restarts
+and nodes, so the answer never depends on machine speed; wall clock
+only aborts a run.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ DEFAULT_EXHAUSTIVE_BOUND = 13
 DEFAULT_PARTIAL_BOUND = 16
 
 
-def _rot(mask: int, k: int, n: int, full: int) -> int:
-    """Bit c of the result is bit (c + k) mod n of the n-bit mask, for
-    0 <= k <= n; full is (1 << n) - 1."""
-    return ((mask >> k) | (mask << (n - k))) & full
-
-
 def _check_n(n: int, bound: int | None, default: int) -> None:
     if n < 1:
         raise PreconditionError("n", "board side must be >= 1")
@@ -66,51 +60,13 @@ def count_classical(n: int, bound: int | None = None) -> int:
     symmetry reduction, so the value matches the published sequence.
     """
     _check_n(n, bound, DEFAULT_EXHAUSTIVE_BOUND)
-    full = (1 << n) - 1
-
-    def rec(cols: int, d1: int, d2: int) -> int:
-        if cols == full:
-            return 1
-        count = 0
-        avail = full & ~(cols | d1 | d2)
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            count += rec(cols | bit, ((d1 | bit) << 1) & full, (d2 | bit) >> 1)
-        return count
-
-    return rec(0, 0, 0)
+    return _count_rows(n, torus=False, semi=False)
 
 
 def count_toroidal(n: int, bound: int | None = None) -> int:
     """Exact number of perfect matchings of the toroidal board T(n)."""
     _check_n(n, bound, DEFAULT_EXHAUSTIVE_BOUND)
-    return sum(1 for _ in toroidal_solutions(n, bound))
-
-
-def toroidal_solutions(n: int, bound: int | None = None) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield every toroidal n-queens solution as a row-ordered placement,
-    in lexicographic order of the column sequence."""
-    _check_n(n, bound, DEFAULT_EXHAUSTIVE_BOUND)
-    full = (1 << n) - 1
-    queens: list[tuple[int, int]] = []
-
-    # su is indexed by (r + c) mod n and nd by (c - r) mod n, so rotating
-    # them by r and n - r gives the columns row r may not use.
-    def rec(r: int, cols: int, su: int, nd: int):
-        if r == n:
-            yield tuple(queens)
-            return
-        avail = full & ~(cols | _rot(su, r, n, full) | _rot(nd, n - r, n, full))
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            c = bit.bit_length() - 1
-            queens.append((r, c))
-            yield from rec(r + 1, cols | bit, su | 1 << (r + c) % n, nd | 1 << (c - r) % n)
-            queens.pop()
-
-    yield from rec(0, 0, 0, 0)
+    return _count_rows(n, torus=True, semi=False)
 
 
 def count_semiqueens(n: int, mode: str = "toroidal", bound: int | None = None) -> int:
@@ -119,35 +75,47 @@ def count_semiqueens(n: int, mode: str = "toroidal", bound: int | None = None) -
     _check_n(n, bound, DEFAULT_EXHAUSTIVE_BOUND)
     if mode not in ("toroidal", "classical"):
         raise PreconditionError("mode", f"unknown mode {mode!r}")
+    return _count_rows(n, torus=mode == "toroidal", semi=True)
+
+
+def _count_rows(n: int, torus: bool, semi: bool) -> int:
+    """Number of ways to fill the rows in order with one queen each.
+
+    cols, d and s are the columns, difference diagonals and sum
+    diagonals blocked in the current row.  Moving down a row shifts d up
+    one column and s down one; on the torus the shift wraps around.
+    Semi-queens keep only the sum family, so their d is masked to 0.
+    The loop body is picked once per call: wrap terms in the classical
+    body would cost every node.
+    """
     full = (1 << n) - 1
+    dmask = 0 if semi else full
+    top = n - 1
 
-    # su is indexed by (r + c) mod n: rotating it by r gives row r's
-    # blocked columns.
-    def rec_toroidal(r: int, cols: int, su: int) -> int:
-        if r == n:
+    def shift(cols: int, d: int, s: int) -> int:
+        if cols == full:
             return 1
         count = 0
-        avail = full & ~(cols | _rot(su, r, n, full))
+        avail = full & ~(cols | d | s)
         while avail:
             bit = avail & -avail
             avail ^= bit
-            count += rec_toroidal(r + 1, cols | bit, su | 1 << (r + bit.bit_length() - 1) % n)
+            count += shift(cols | bit, ((d | bit) << 1) & dmask, (s | bit) >> 1)
         return count
 
-    # su is indexed by r + c in 0..2n-2: shifting it down by r gives row
-    # r's blocked columns.
-    def rec_classical(r: int, cols: int, su: int) -> int:
-        if r == n:
+    def rotate(cols: int, d: int, s: int) -> int:
+        if cols == full:
             return 1
         count = 0
-        avail = full & ~(cols | su >> r)
+        avail = full & ~(cols | d | s)
         while avail:
             bit = avail & -avail
             avail ^= bit
-            count += rec_classical(r + 1, cols | bit, su | bit << r)
+            d1, s1 = d | bit, s | bit
+            count += rotate(cols | bit, (d1 << 1 | d1 >> top) & dmask, s1 >> 1 | (s1 & 1) << top)
         return count
 
-    return rec_toroidal(0, 0, 0) if mode == "toroidal" else rec_classical(0, 0, 0)
+    return (rotate if torus else shift)(0, 0, 0)
 
 
 def monsky_value(n: int) -> int:
@@ -173,27 +141,28 @@ def max_partial_toroidal(n: int, bound: int | None = None) -> int:
     if n == 1:
         return 1
     full = (1 << n) - 1
+    top = n - 1
 
     def feasible(m: int) -> bool:
-        # su is indexed by (r + c) mod n; nd by (c - r) mod n, which makes
-        # both row-queryable by rotation.
-        def rec(r: int, placed: int, skips: int, cols: int, su: int, nd: int) -> bool:
+        # _count_rows's rotating masks; a skipped row rotates them too.
+        def rec(placed: int, skips: int, cols: int, d: int, s: int) -> bool:
             if placed == m:
                 return True
-            if n - r < m - placed:
-                return False
-            avail = full & ~(cols | _rot(su, r, n, full) | _rot(nd, n - r, n, full))
+            avail = full & ~(cols | d | s)
             while avail:
                 bit = avail & -avail
                 avail ^= bit
-                c = bit.bit_length() - 1
-                if rec(r + 1, placed + 1, skips, cols | bit,
-                       su | 1 << (r + c) % n, nd | 1 << (c - r) % n):
+                d1, s1 = d | bit, s | bit
+                if rec(placed + 1, skips, cols | bit,
+                       (d1 << 1 | d1 >> top) & full, s1 >> 1 | (s1 & 1) << top):
                     return True
-            return skips > 0 and rec(r + 1, placed, skips - 1, cols, su, nd)
+            return skips > 0 and rec(
+                placed, skips - 1, cols, (d << 1 | d >> top) & full, s >> 1 | (s & 1) << top
+            )
 
-        # Normalized: queen at (0, 0) uses column 0, sum 0, difference 0.
-        return rec(1, 1, n - m, 1, 1, 1)
+        # Normalized: the queen at (0, 0) blocks row 1's column 0,
+        # difference column 1 and sum column n - 1.
+        return rec(1, n - m, 1, 2, 1 << top)
 
     for m in range(n, 0, -1):
         if feasible(m):

@@ -1,12 +1,18 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from unittest import mock
+
+from hypothesis import example, given, settings, strategies as st
 
 from torq.board import edge_at_centered
+from torq.cli import main
 from torq.lattice import Generator, SignedEdgeSet, edge_shadow, expand, shadow, sv
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -148,6 +154,14 @@ class TestDecompose:
             with open(os.path.join(GOLDEN, f"decompose_{name}.json")) as fh:
                 assert res.stdout == fh.read(), name
 
+    def test_semi_vector_names_the_kind(self):
+        stdin = json.dumps({"n": 31, "kind": "semi", "entries": []})
+        for args in ((), ("--method", "bidc"), ("--method", "leave", "--radius", "4"),
+                     ("--region", "3")):
+            res = run_cli("decompose", "--n", "31", *args, stdin=stdin)
+            assert res.returncode == 2 and res.stdout == "", (args, res.stderr)
+            assert res.stderr.startswith("error: kind: "), (args, res.stderr)
+
     def test_non_member_rejected(self):
         obj = {"n": 31, "kind": "queens",
                "entries": [{"part": "X", "coord": 0, "weight": 1}]}
@@ -279,3 +293,53 @@ class TestErrors:
             assert res.returncode == 2 and res.stdout == "", args
             assert res.stderr.startswith(f"error: {field}: "), (args, res.stderr)
         assert "n=29" in res.stderr
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 14) | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["n", "kind", "entries", "queens", "semi", "X", "S"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["n", "kind", "entries", "part", "coord", "weight"]), inner, max_size=4
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def vectors(draw):
+    n = draw(st.integers(1, 13))
+    entry = st.fixed_dictionaries({
+        "part": st.sampled_from("XYSDQx"),
+        "coord": st.integers(-2, n + 1),
+        "weight": st.integers(-3, 3),
+    })
+    kind = draw(st.sampled_from(["queens", "semi"]) | st.text(max_size=6))
+    return {"n": n, "kind": kind, "entries": draw(st.lists(entry, max_size=6))}
+
+
+COMMANDS = [
+    ("lattice", "check", "--mode", mode, *oracle)
+    for mode in ("queens", "semi", "sublattice-s")
+    for oracle in ((), ("--oracle",))
+] + [
+    ("decompose",),
+    ("decompose", "--method", "bidc"),
+    ("decompose", "--method", "leave", "--radius", "4"),
+    ("decompose", "--region", "3"),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES | vectors(), st.integers(1, 13), st.sampled_from(COMMANDS))
+@example({"n": 31, "kind": "semi", "entries": []}, 31, ("decompose",))
+def test_stdin_input_never_crashes(obj, n, command):
+    """Any JSON on stdin ends in success, invalid input or a capacity
+    limit: never a traceback or a verification failure."""
+    if isinstance(obj, dict) and type(obj.get("n")) is int:
+        n = obj["n"]
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch("sys.stdin", io.StringIO(json.dumps(obj))),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        code = main([*command, "--n", str(n)])
+    assert code in (0, 2, 3), (code, err.getvalue())

@@ -16,7 +16,6 @@ from torq.solvers import (
     extend_classical_search,
     max_partial_toroidal,
     monsky_value,
-    toroidal_solutions,
     verify_placement,
     verify_tstar_lattice,
     wset_candidates,
@@ -92,7 +91,7 @@ class TestCounters:
         ]
 
     def test_classical_against_brute_force(self):
-        for n in range(1, 8):
+        for n in range(1, 10):
             assert count_classical(n) == brute_count(n, "classical")
 
     def test_toroidal_known_values(self):
@@ -101,18 +100,8 @@ class TestCounters:
         assert count_toroidal(7) == 28
 
     def test_toroidal_against_brute_force(self):
-        for n in range(1, 8):
-            assert count_toroidal(n) == brute_count(n, "toroidal")
-
-    def test_toroidal_solutions_in_lexicographic_order(self):
         for n in range(1, 10):
-            assert list(toroidal_solutions(n)) == list(brute_placements(n, "toroidal"))
-
-    def test_toroidal_solutions_are_valid(self):
-        sols = list(toroidal_solutions(5))
-        assert len(sols) == 10
-        for queens in sols:
-            assert verify_placement(5, list(queens), "toroidal") == []
+            assert count_toroidal(n) == brute_count(n, "toroidal")
 
     def test_semiqueens_against_brute_force(self):
         for n in range(1, 10):
