@@ -89,15 +89,6 @@ class Edge:
             Vertex(Part.D, self.d(n)),
         )
 
-    def coord_in(self, part: Part, n: int) -> int:
-        if part is Part.X:
-            return self.x
-        if part is Part.Y:
-            return self.y
-        if part is Part.S:
-            return self.s(n)
-        return self.d(n)
-
 
 def edge_of(n: int, x: int, y: int) -> Edge:
     """The unique edge dictated by row x and column y."""

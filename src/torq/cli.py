@@ -21,7 +21,7 @@ from random import Random
 import click
 
 from . import decomp, greedy, lattice, solvers
-from .board import TorusGraph, dumps
+from .board import Part, TorusGraph, dumps
 from .errors import CapacityError, PreconditionError, VerificationError
 
 SCHEMA = "torq/1"
@@ -45,6 +45,11 @@ def _solver_bound() -> int | None:
         return int(raw) if raw else None
     except ValueError:
         raise PreconditionError("TORQ_MAX_EXHAUSTIVE", f"must be an integer, got {raw!r}") from None
+
+
+def _check_side(n: int) -> None:
+    if n < 1:
+        raise PreconditionError("n", "board side must be >= 1")
 
 
 def _read_vector(n: int) -> lattice.SupportVector:
@@ -103,6 +108,7 @@ def lattice_group() -> None:
 def check(n: int, ones: bool, mode: str, oracle: bool, out: str | None) -> None:
     """Membership verdict for a support vector (stdin JSON, or --ones)."""
     if ones:
+        _check_side(n)
         kind = "semi" if mode == "semi" else "queens"
         parts = lattice.SEMI_PARTS if kind == "semi" else lattice.QUEENS_PARTS
         v = lattice.sv(n, [(p, c, 1) for p in parts for c in range(n)], kind)
@@ -125,7 +131,10 @@ def check(n: int, ones: bool, mode: str, oracle: bool, out: str | None) -> None:
         # The one-part sublattice is exactly the set of S-supported
         # lattice members, so the queens-lattice oracle covers it too.
         kind = "semi" if mode == "semi" else "queens"
-        agrees = lattice.hnf_oracle(n, kind, v) == verdict.ok
+        member = lattice.hnf_oracle(n, kind, v)
+        if mode == "sublattice-s":
+            member = member and all(u.part is Part.S for u in v.entries)
+        agrees = member == verdict.ok
         result["oracle_agrees"] = agrees
         if not agrees:
             raise VerificationError("membership test disagrees with the HNF oracle")
@@ -147,6 +156,8 @@ def decompose(
     n: int, method: str, radius: int | None, region: int | None, out: str | None
 ) -> None:
     """Decompose a support vector (stdin JSON) into signed edges."""
+    if region is not None and region < 0:
+        raise PreconditionError("region", f"must be >= 0, got {region}")
     v = _read_vector(n)
     if method == "bidc":
         result = decomp.bidc_reduce(v)
@@ -175,6 +186,7 @@ def decompose(
 @click.option("--out", type=str, default=None)
 def zsc(n: int, seed: int, out: str | None) -> None:
     """A random valid zero-sum configuration, deterministic per seed."""
+    _check_side(n)
     rng = Random(seed)
     for _ in range(100_000):
         cfg = decomp.make_config(

@@ -7,8 +7,8 @@ re-verifies its own output bit-exactly, raising :class:`VerificationError`
 rather than returning a wrong answer.  Each phase accumulates into an
 edge set it created, with the in-place ``add`` / ``+=`` of
 :class:`~torq.lattice.SignedEdgeSet`, and never changes its arguments;
-:func:`decompose_bounded` keeps ``target - shadow(phi)`` current edge by
-edge instead of recomputing it after every edge.
+:func:`decompose_bounded` and :func:`cover_leave` keep
+``target - shadow(phi)`` current edge by edge instead of recomputing it.
 
 Step vectors used internally ("SQ steps", in offset form) are the
 supports ``+1@a, -1@(a+b), -1@(a+c), +1@(a+b+c)`` on the diagonal-sum
@@ -171,6 +171,16 @@ def _q_step_realizable(n: int, b: int, c: int, s: int) -> bool:
     return n % 2 == 1 or s % 2 == 0 or (b + c) % 2 == 1
 
 
+def _simple_matrix(
+    n: int, r0: int, r1: int, k0: int, k1: int, s: int
+) -> list[tuple[int, int, int]]:
+    """The signed simple matrix as ``(x, y, sign)`` triples: ``+s`` at
+    (r0, k0) and (r1, k1), ``-s`` at (r0, k1) and (r1, k0), mod n.  Its
+    row and column boundaries vanish."""
+    r0, r1, k0, k1 = r0 % n, r1 % n, k0 % n, k1 % n
+    return [(r0, k0, s), (r1, k1, s), (r0, k1, -s), (r1, k0, -s)]
+
+
 def _q_step_edges(n: int, a: int, b: int, c: int, s: int) -> list[tuple[int, int, int]]:
     """Eight signed edges whose boundary is the Q step (a, b, c, s).
 
@@ -178,38 +188,22 @@ def _q_step_edges(n: int, a: int, b: int, c: int, s: int) -> list[tuple[int, int
     row, column and difference parts and equals
     ``SQ(a,b,c) - SQ(a+s,b,c)`` on the sum part.
     """
-    out: list[tuple[int, int, int]] = []
-    if s % 2 == 0 or n % 2 == 1:
-        t = (s // 2) % n if s % 2 == 0 else (s * ((n + 1) // 2)) % n
-        r0, r1 = 0, c % n
-        k0, k1 = a % n, (a + b) % n
-        out += [(r0, k0, 1), (r1, k1, 1), (r0, k1, -1), (r1, k0, -1)]
-        out += [
-            ((r0 + t) % n, (k0 + t) % n, -1),
-            ((r1 + t) % n, (k1 + t) % n, -1),
-            ((r0 + t) % n, (k1 + t) % n, 1),
-            ((r1 + t) % n, (k0 + t) % n, 1),
-        ]
-        return out
-    if (b + c) % 2 == 0:
+    if s % 2 == 1 and n % 2 == 0 and (b + c) % 2 == 0:
         raise PreconditionError(
             "q-step-parity",
             f"Q step (a={a}, b={b}, c={c}, s={s}) has no edge realization at even n={n}",
         )
+    out = _simple_matrix(n, 0, c, a, a + b, 1)
+    if s % 2 == 0 or n % 2 == 1:
+        t = (s // 2) % n if s % 2 == 0 else (s * ((n + 1) // 2)) % n
+        return out + _simple_matrix(n, t, c + t, a + t, a + b + t, -1)
     # Crosswise pairing: the two constituent matrices use the two step
     # orientations so their difference-part residues cancel despite the
     # odd shift.
-    out += [(0, a % n, 1), (c % n, (a + b) % n, 1), (0, (a + b) % n, -1), (c % n, a % n, -1)]
     h = (s % n) + (c % n) - (b % n)
     ap = (h // 2) % n  # h is even: s odd and b+c odd
     base = (a + s) % n
-    out += [
-        (ap, (base - ap) % n, -1),
-        ((ap + b) % n, (base + c - ap) % n, -1),
-        (ap, (base + c - ap) % n, 1),
-        ((ap + b) % n, (base - ap) % n, 1),
-    ]
-    return out
+    return out + _simple_matrix(n, ap, ap + b, base - ap, base + c - ap, -1)
 
 
 # --- binary-identity reduction on the sum part --------------------------
@@ -584,13 +578,8 @@ def decompose_bounded(target: SupportVector) -> DecompositionResult:
         # Simple matrix on rows {0, gamma}, columns {m, m + beta}: its
         # difference-part boundary is -SQ(a0, beta, gamma) and its sum
         # part lands at base m.
-        for x, y, sign in (
-            (0, m, 1),
-            (gamma, (m + beta) % n, 1),
-            (0, (m + beta) % n, -1),
-            (gamma, m, -1),
-        ):
-            _put_edge(phi, r, Edge(x, y), -sigma * sign)
+        for x, y, sign in _simple_matrix(n, 0, gamma, m, m + beta, -sigma):
+            _put_edge(phi, r, Edge(x, y), sign)
 
     # Phase: sum-part reduction.
     if any(v.part is not Part.S for v in r.support()):
@@ -771,20 +760,21 @@ def cover_leave(leave: SupportVector, radius: int) -> DecompositionResult:
     if t > n // 2:
         raise PreconditionError("radius-range", f"radius {radius} too large for n={n}")
 
-    steps = SignedEdgeSet(n)
+    # phi grows step by step and r = leave - shadow(phi) is kept current;
+    # each step returned for r is absorbed negated.
+    phi = SignedEdgeSet(n)
+    r = leave.copy()
     phases: list[tuple[str, int, int]] = []
-    r = leave
-    while t >= 2:
-        phi_step = push_down(r, t)
-        steps += phi_step
-        r = r + shadow(phi_step)
-        phases.append(("push-down", 1, phi_step.size()))
-        t //= 2
 
-    phi_step = zero_sum_support(r)
-    steps += phi_step
-    r = r + shadow(phi_step)
-    phases.append(("zero-sum", 1, phi_step.size()))
+    def absorb(name: str, step: SignedEdgeSet, gadgets: int = 1) -> None:
+        for e, m in step.entries.items():
+            _put_edge(phi, r, e, -m)
+        phases.append((name, gadgets, step.size()))
+
+    while t >= 2:
+        absorb("push-down", push_down(r, t))
+        t //= 2
+    absorb("zero-sum", zero_sum_support(r))
 
     # Finisher: the surviving row pattern is forced to (h, -2h, h) on
     # centered coordinates (-1, 0, 1); one gadget per unit clears it and
@@ -796,19 +786,13 @@ def cover_leave(leave: SupportVector, radius: int) -> DecompositionResult:
     h = rx.get(1, 0)
     if rx.get(-1, 0) != h or rx.get(0, 0) != -2 * h:
         raise VerificationError("finisher row pattern is not (h, -2h, h)")
-    m = -h
-    gadget = [((0, -1), -1), ((0, 1), -1), ((-1, 0), 1), ((1, 0), 1)]
-    if m:
-        phi_step = SignedEdgeSet(n)
-        for (cx, cy), sign in gadget:
-            phi_step.add(edge_at_centered(n, cx, cy), sign * m)
-        steps += phi_step
-        r = r + shadow(phi_step)
-    phases.append(("finish-gadget", abs(m), 4 * abs(m)))
+    gadget = SignedEdgeSet(n)
+    for (cx, cy), sign in (((0, -1), 1), ((0, 1), 1), ((-1, 0), -1), ((1, 0), -1)):
+        gadget.add(edge_at_centered(n, cx, cy), sign * h)
+    absorb("finish-gadget", gadget, abs(h))
     if not r.is_zero():
         raise VerificationError("leave cover left a nonzero residual")
 
-    phi = -steps
     if shadow(phi) != leave:
         raise VerificationError("leave cover does not shadow the leave")
     return DecompositionResult(leave, phi, tuple(phases))
@@ -827,6 +811,43 @@ def _spiral(n: int) -> Iterator[int]:
         yield k % n
         if (n - k) % n != k % n:
             yield (n - k) % n
+
+
+def _links(
+    n: int, v: Vertex, e_pos: Edge, e_neg: Edge
+) -> Iterator[tuple[ZeroSumConfig, set[Vertex]] | None]:
+    """For each free parameter q in :func:`_spiral` order, the zero-sum
+    configuration joined at ``v`` that holds ``e_pos`` with multiplicity
+    +1 and ``e_neg`` with -1, with its nine fresh vertices (those not on
+    either edge); None when q gives no admissible configuration."""
+    keep = set(e_pos.vertices(n)) | set(e_neg.vertices(n))
+    for q in _spiral(n):
+        if v.part is Part.X:
+            z = make_config(n, v.coord, (e_pos.y - q) % n, (e_neg.y - q) % n, q)
+        elif v.part is Part.Y:
+            z = make_config(n, q, e_neg.x, e_pos.x, (v.coord - q) % n)
+        elif v.part is Part.S:
+            z = make_config(n, e_pos.x, e_neg.x, q, (e_neg.y - e_pos.x) % n)
+        else:
+            z = make_config(n, e_pos.x, (e_pos.y - q) % n, e_neg.x, q)
+        vs = z.vertices()
+        fresh = vs - keep
+        admissible = len(vs) == 16 and len(fresh) == 9
+        if admissible:
+            zset = z.edge_set()
+            admissible = zset.mult(e_pos) == 1 and zset.mult(e_neg) == -1
+        yield (z, fresh) if admissible else None
+
+
+def _matching_pair(g: TorusGraph, phi: SignedEdgeSet, what: str) -> tuple[Matching, Matching]:
+    """The positive and negative edges of phi as two matchings, each
+    verified on g."""
+    pair = Matching.of(phi.positive_part()), Matching.of(phi.negative_part())
+    for m in pair:
+        report = verify_matching(g, m)
+        if not report.valid:
+            raise VerificationError(f"{what} produced a non-matching at {report.offending_vertex}")
+    return pair
 
 
 def to_matching_pair(
@@ -855,6 +876,19 @@ def to_matching_pair(
         edges = {e: sign * m for e, m in work.entries.items() if sign * m > 0}
         return shadow(SignedEdgeSet(n, edges)).entries
 
+    def links_at(v: Vertex) -> Iterator[tuple[ZeroSumConfig, set[Vertex]] | None]:
+        """For each positive edge e+ and negative edge e- of work through v,
+        the links holding e- at +1 and e+ at -1, which cancel both."""
+        epos = sorted(e for e, m in work.entries.items() if m > 0 and v in e.vertices(n))
+        eneg = sorted(e for e, m in work.entries.items() if m < 0 and v in e.vertices(n))
+        if not epos or not eneg:
+            raise VerificationError(
+                f"over-covered vertex {v} lacks an opposite-sign edge"
+            )
+        for e_plus in epos:
+            for e_minus in eneg:
+                yield from _links(n, v, e_minus, e_plus)
+
     while True:
         pos, neg = cover(1), cover(-1)
         conflicts = sorted(
@@ -871,74 +905,39 @@ def to_matching_pair(
             )
         covered = set(pos) | set(neg)
 
-        # Prefer a configuration whose fresh vertices are all uncovered;
-        # fall back on the fewest-collision one (a collision may create a
-        # new conflict, so the global step cap above bounds the retries).
-        chosen = None
-        fallback: tuple[int, ZeroSumConfig] | None = None
-        for v in conflicts:
-            epos = sorted(e for e, m in work.entries.items() if m > 0 and v in e.vertices(n))
-            eneg = sorted(e for e, m in work.entries.items() if m < 0 and v in e.vertices(n))
-            if not epos or not eneg:
-                raise VerificationError(
-                    f"over-covered vertex {v} lacks an opposite-sign edge"
-                )
-            for e_plus in epos:
-                for e_minus in eneg:
-                    keep = set(e_plus.vertices(n)) | set(e_minus.vertices(n))
-                    for q in _spiral(n):
-                        scan_budget -= 1
-                        if scan_budget < 0:
-                            raise CapacityError(
-                                "rewriting did not converge within its step budget",
-                                blocking=v,
-                            )
-                        z = _link_config(n, v.part, v.coord, e_minus, e_plus, q)
-                        if not z.valid:
-                            continue
-                        zset = z.edge_set()
-                        if zset.mult(e_minus) != 1 or zset.mult(e_plus) != -1:
-                            continue
-                        fresh = z.vertices() - keep
-                        if len(fresh) != 9:
-                            continue
-                        if any(not region.contains(n, f) for f in fresh):
-                            continue
-                        collisions = sum(f in covered for f in fresh)
-                        if collisions == 0:
-                            chosen = z
-                            break
-                        if fallback is None or collisions < fallback[0]:
-                            fallback = (collisions, z)
-                    if chosen is not None:
-                        break
-                if chosen is not None:
-                    break
-            if chosen is not None:
-                break
-        if chosen is None:
-            if fallback is None:
+        # Take the first configuration whose fresh vertices lie in region
+        # and are all uncovered, else the first with the fewest collisions
+        # (a collision may create a new conflict, so the global step cap
+        # above bounds the retries).  Every q tried costs scan budget.
+        best: tuple[int, ZeroSumConfig] | None = None
+        for v, link in ((v, link) for v in conflicts for link in links_at(v)):
+            scan_budget -= 1
+            if scan_budget < 0:
                 raise CapacityError(
-                    "no admissible replacement configuration at any over-covered vertex",
-                    blocking=conflicts[0],
+                    "rewriting did not converge within its step budget", blocking=v
                 )
-            chosen = fallback[1]
-        work += chosen.edge_set()
+            if link is None:
+                continue
+            z, fresh = link
+            if any(not region.contains(n, f) for f in fresh):
+                continue
+            collisions = sum(f in covered for f in fresh)
+            if best is None or collisions < best[0]:
+                best = (collisions, z)
+                if collisions == 0:
+                    break
+        if best is None:
+            raise CapacityError(
+                "no admissible replacement configuration at any over-covered vertex",
+                blocking=conflicts[0],
+            )
+        work += best[1].edge_set()
 
     if any(abs(m) > 1 for m in work.entries.values()):
         raise VerificationError("rewriting finished with a multi-edge")
     if shadow(work) != sh:
         raise VerificationError("rewriting changed the shadow")
-    g = TorusGraph(n)
-    m1 = Matching.of(work.positive_part())
-    m2 = Matching.of(work.negative_part())
-    for m in (m1, m2):
-        report = verify_matching(g, m)
-        if not report.valid:
-            raise VerificationError(
-                f"rewriting produced a non-matching at {report.offending_vertex}"
-            )
-    return m1, m2
+    return _matching_pair(TorusGraph(n), work, "rewriting")
 
 
 # --- cascades -----------------------------------------------------------
@@ -975,24 +974,6 @@ class Cascade:
         }
 
 
-def _link_config(
-    n: int, part: Part, shared_coord: int, e_pos_role: Edge, e_neg_role: Edge, q: int
-) -> ZeroSumConfig:
-    """The configuration holding ``e_pos_role`` in its positive matching
-    and ``e_neg_role`` in its negative one, joined at the shared vertex;
-    ``q`` is the free parameter."""
-    if part is Part.X:
-        return make_config(n, shared_coord, (e_pos_role.y - q) % n, (e_neg_role.y - q) % n, q)
-    if part is Part.Y:
-        return make_config(n, q, e_neg_role.x, e_pos_role.x, (shared_coord - q) % n)
-    if part is Part.S:
-        a_q = e_pos_role.x
-        return make_config(n, a_q, e_neg_role.x, q, (e_neg_role.y - a_q) % n)
-    a_q = e_pos_role.x
-    b_q = (e_pos_role.y - q) % n
-    return make_config(n, a_q, b_q, e_neg_role.x, q)
-
-
 def build_cascade(
     g: TorusGraph,
     e: Edge,
@@ -1003,11 +984,16 @@ def build_cascade(
 
     Each target must share with the seed exactly the seed's vertex in one
     part (in part order X, Y, S, D) and nothing else; the sixteen seed
-    vertices must be distinct and all fresh vertices avoid ``avoid``.
+    vertices must be distinct, and every edge of the seed and targets must
+    be an edge of ``g``.  All fresh vertices avoid ``avoid`` and the
+    vertices removed from ``g``, and both matchings are verified on ``g``.
     """
     n = g.n
     if len(targets) != 4:
         raise PreconditionError("cascade-targets", "exactly four target edges required")
+    for edge in (e, *targets):
+        if not g.has_edge(edge):
+            raise PreconditionError("cascade-edge", f"{edge} is not an edge of the board")
     seed_vs = e.vertices(n)
     seed_all: set[Vertex] = set(seed_vs)
     for i, (t_edge, v_shared) in enumerate(zip(targets, seed_vs)):
@@ -1026,7 +1012,7 @@ def build_cascade(
         seed_all |= tvs
     if len(seed_all) != 16:
         raise PreconditionError("cascade-overlap", "seed vertices are not sixteen distinct")
-    used = set(seed_all) | set(avoid)
+    used = seed_all | set(avoid) | g.removed
 
     # Primary configuration: contains the seed edge positively, avoids
     # every other used vertex; two free parameters.
@@ -1056,22 +1042,9 @@ def build_cascade(
     )
 
     links: list[ZeroSumConfig] = []
-    parts = (Part.X, Part.Y, Part.S, Part.D)
-    for i, (spoke, t_edge, part, v_shared) in enumerate(zip(spokes, targets, parts, seed_vs)):
-        pick = None
-        allowed = set(spoke.vertices(n)) | set(t_edge.vertices(n))
-        for q in _spiral(n):
-            z = _link_config(n, part, v_shared.coord, spoke, t_edge, q)
-            if not z.valid:
-                continue
-            zset = z.edge_set()
-            if zset.mult(spoke) != 1 or zset.mult(t_edge) != -1:
-                continue
-            fresh = z.vertices() - allowed
-            if len(fresh) != 9 or any(f in used for f in fresh):
-                continue
-            pick = z
-            break
+    for i, (spoke, t_edge, v_shared) in enumerate(zip(spokes, targets, seed_vs)):
+        links_here = filter(None, _links(n, v_shared, spoke, t_edge))
+        pick = next((z for z, fresh in links_here if used.isdisjoint(fresh)), None)
         if pick is None:
             raise CapacityError(
                 f"no admissible link configuration at target {i}", blocking=t_edge
@@ -1082,22 +1055,12 @@ def build_cascade(
     total = SignedEdgeSet(n)
     for z in [primary, *links]:
         total += z.edge_set()
-    m1 = Matching.of(total.positive_part())
-    m2 = Matching.of(total.negative_part())
+    m1, m2 = _matching_pair(g, total, "cascade")
     if len(m1) != 16 or len(m2) != 16:
         raise VerificationError("cascade matchings are not sixteen edges each")
     if total.mult(e) != 1 or any(total.mult(t) != -1 for t in targets):
         raise VerificationError("cascade lost its seed or target edges")
-    vs1: set[Vertex] = set()
-    vs2: set[Vertex] = set()
-    for edge in m1:
-        vs1.update(edge.vertices(n))
-    for edge in m2:
-        vs2.update(edge.vertices(n))
+    vs1, vs2 = ({v for edge in m for v in edge.vertices(n)} for m in (m1, m2))
     if vs1 != vs2 or len(vs1) != 64:
         raise VerificationError("cascade matchings do not cover the same 64 vertices")
-    for m in (m1, m2):
-        report = verify_matching(TorusGraph(n), m)
-        if not report.valid:
-            raise VerificationError("cascade produced overlapping edges")
     return Cascade(n, e, tuple(targets), primary, tuple(links), m1, m2)

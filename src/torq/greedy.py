@@ -247,8 +247,8 @@ def run_greedy(
     chosen: list[Edge] = []
     while len(chosen) < m_target and board.q > 0:
         e = board.sample(int(rng.integers(board.q)))
-        for part in parts:
-            board.kill(part, e.coord_in(part, n))
+        for v in g.edge_vertices(e):
+            board.kill(v.part, v.coord)
         if track_parity:
             disparity += int(par[e.d(n)]) - int(par[e.s(n)])
         chosen.append(e)
@@ -415,7 +415,7 @@ def run_campaign(
 ) -> dict:
     """Run one greedy trace per seed and fold the summary statistics."""
     if len(seeds) == 0:
-        raise PreconditionError("seeds", "seeds: a campaign needs at least one seed")
+        raise PreconditionError("seeds", "a campaign needs at least one seed")
     g = TorusGraph(n)
     fracs: list[float] = []
     estimates: list[float] = []

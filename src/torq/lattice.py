@@ -546,8 +546,8 @@ def hnf_oracle(n: int, kind: str, v: SupportVector) -> bool:
     """Membership of v in the integer span of edge shadows, decided by
     exact integer elimination (independent of the congruence tests)."""
     if n > HNF_MAX_N:
-        raise ValueError(f"hnf_oracle supports n <= {HNF_MAX_N}")
+        raise PreconditionError("n", f"hnf_oracle supports n <= {HNF_MAX_N}")
     if kind not in ("queens", "semi"):
-        raise ValueError("kind: must be 'queens' or 'semi'")
+        raise PreconditionError("kind", "must be 'queens' or 'semi'")
     lat = _edge_lattice(n, kind)
     return lat.contains({_vertex_index(n, kind, u): w for u, w in v.entries.items()})

@@ -287,11 +287,18 @@ class TestErrors:
             (("monsky", "--n", "0"), "n"),
             (("greedy", "--n", "0"), "n"),
             (("extend", "--n", "0"), "n"),
+            (("zsc", "--n", "0"), "n"),
+            (("lattice", "check", "--n", "0", "--ones"), "n"),
+            (("lattice", "check", "--n", "-2", "--ones"), "n"),
+            (("lattice", "check", "--n", "16", "--ones", "--oracle"), "n"),
+            (("decompose", "--n", "31", "--region", "-1"), "region"),
+            (("greedy", "--n", "5", "--seeds", "0"), "seeds"),
             (("extend", "--n", "29"), "case"),
         ):
             res = run_cli(*args)
             assert res.returncode == 2 and res.stdout == "", args
             assert res.stderr.startswith(f"error: {field}: "), (args, res.stderr)
+            assert f"{field}: {field}:" not in res.stderr, (args, res.stderr)
         assert "n=29" in res.stderr
 
 
@@ -323,6 +330,10 @@ COMMANDS = [
     for mode in ("queens", "semi", "sublattice-s")
     for oracle in ((), ("--oracle",))
 ] + [
+    ("lattice", "check", "--ones", "--mode", mode, *oracle)
+    for mode in ("queens", "semi", "sublattice-s")
+    for oracle in ((), ("--oracle",))
+] + [
     ("decompose",),
     ("decompose", "--method", "bidc"),
     ("decompose", "--method", "leave", "--radius", "4"),
@@ -331,8 +342,9 @@ COMMANDS = [
 
 
 @settings(max_examples=150, deadline=None)
-@given(JSON_VALUES | vectors(), st.integers(1, 13), st.sampled_from(COMMANDS))
+@given(JSON_VALUES | vectors(), st.integers(-3, 13), st.sampled_from(COMMANDS))
 @example({"n": 31, "kind": "semi", "entries": []}, 31, ("decompose",))
+@example({}, 13, ("lattice", "check", "--ones", "--mode", "sublattice-s", "--oracle"))
 def test_stdin_input_never_crashes(obj, n, command):
     """Any JSON on stdin ends in success, invalid input or a capacity
     limit: never a traceback or a verification failure."""

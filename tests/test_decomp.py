@@ -1,6 +1,7 @@
 """Zero-sum configurations, edge-set decompositions, leave covers,
 matching-pair rewriting, and cascades."""
 
+import os
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from torq.board import (
     Vertex,
     edge_at_centered,
     centered,
+    dumps,
     square,
     verify_matching,
     whole_board,
@@ -37,6 +39,13 @@ from torq.lattice import (
     shadow,
     sv,
 )
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def golden(name: str) -> str:
+    with open(os.path.join(GOLDEN, name)) as fh:
+        return fh.read()
 
 
 def sq_vec(n, a, b, c):
@@ -310,6 +319,8 @@ class TestToMatchingPair:
         for e in m2:
             acc[e] = acc.get(e, 0) - 1
         assert shadow(SignedEdgeSet(n, acc)) == leave
+        pair = {"positive": [[e.x, e.y] for e in m1], "negative": [[e.x, e.y] for e in m2]}
+        assert dumps(pair) + "\n" == golden("congested_pair.json")
 
     def test_rejects_heavy_shadow(self):
         phi = SignedEdgeSet(33, {Edge(0, 0): 2})
@@ -357,6 +368,22 @@ class TestCascade:
         for e in cas.m2:
             acc[e] = acc.get(e, 0) - 1
         assert shadow(SignedEdgeSet(101, acc)).is_zero()
+
+    def test_golden(self):
+        cas = build_cascade(TorusGraph(101), self.SEED, self.TARGETS)
+        assert dumps(cas.to_json()) + "\n" == golden("cascade.json")
+
+    def test_punctured_board_respected(self):
+        # D1 is the first fresh vertex of the cascade on the whole board.
+        hole = Vertex(Part.D, 1)
+        assert hole in build_cascade(TorusGraph(101), self.SEED, self.TARGETS).vertices()
+        g = TorusGraph(101, removed=frozenset({hole}))
+        cas = build_cascade(g, self.SEED, self.TARGETS)
+        assert hole not in cas.vertices()
+        assert verify_matching(g, cas.m1).valid and verify_matching(g, cas.m2).valid
+        with pytest.raises(PreconditionError) as exc:
+            build_cascade(g, Edge(1, 0), self.TARGETS)  # its D vertex is the hole
+        assert exc.value.condition == "cascade-edge"
 
     def test_avoid_set_respected(self):
         g = TorusGraph(101)
