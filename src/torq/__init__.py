@@ -20,7 +20,6 @@ from .board import (
     TorusGraph,
     Vertex,
     attacks,
-    box,
     centered,
     edge_of,
     square,

@@ -104,39 +104,28 @@ def edge_at_centered(n: int, cx: int, cy: int) -> Edge:
 
 @dataclass(frozen=True)
 class Interval:
-    """Box interval I_s (X/Y capped at 2s/3) or square interval I'_s."""
+    """Square interval I'_s: the vertices whose centered coordinate is at
+    most s in absolute value, in every part."""
 
-    shape: str  # "box" | "square"
     s: int
 
     def __post_init__(self) -> None:
-        if self.shape not in ("box", "square"):
-            raise ValueError(f"unknown interval shape {self.shape!r}")
         if self.s < 0:
             raise ValueError("interval parameter must be nonnegative")
 
-    def bound_for(self, part: Part) -> int:
-        if self.shape == "box" and part in (Part.X, Part.Y):
-            return (2 * self.s) // 3
-        return self.s
-
     def contains(self, n: int, v: Vertex) -> bool:
-        return abs(centered(n, v.coord)) <= self.bound_for(v.part)
+        return abs(centered(n, v.coord)) <= self.s
 
     def contains_edge(self, n: int, e: Edge) -> bool:
         return all(self.contains(n, v) for v in e.vertices(n))
 
 
-def box(s: int) -> Interval:
-    return Interval("box", s)
-
-
 def square(s: int) -> Interval:
-    return Interval("square", s)
+    return Interval(s)
 
 
 def whole_board(n: int) -> Interval:
-    return Interval("square", n)
+    return Interval(n)
 
 
 @dataclass(frozen=True)

@@ -110,8 +110,7 @@ def check(n: int, ones: bool, mode: str, oracle: bool, out: str | None) -> None:
     if ones:
         _check_side(n)
         kind = "semi" if mode == "semi" else "queens"
-        parts = lattice.SEMI_PARTS if kind == "semi" else lattice.QUEENS_PARTS
-        v = lattice.sv(n, [(p, c, 1) for p in parts for c in range(n)], kind)
+        v = lattice.sv(n, [(p, c, 1) for p in lattice.kind_parts(kind) for c in range(n)], kind)
     else:
         v = _read_vector(n)
     if mode == "queens":

@@ -507,27 +507,18 @@ def decompose_bounded(target: SupportVector) -> DecompositionResult:
     if not verdict:
         raise PreconditionError(verdict.failed)
 
-    exact = _exact_matching_cover(target)
-    if exact is not None:
-        phi = SignedEdgeSet(n, {e: 1 for e in exact})
-        if shadow(phi) != target:
-            raise VerificationError("matching reconstruction does not shadow the target")
-        phases = (
-            ("edge-cover", target.size(), len(exact)),
-            ("xy-elimination", 0, 0),
-            ("d-reduction", 0, 0),
-            ("bidc", 0, 0),
-        )
-        return DecompositionResult(target, phi, phases)
-
     # phi grows edge by edge and r = target - shadow(phi) is kept current.
     phi = SignedEdgeSet(n)
     r = target.copy()
 
-    # Phase: edge cover.  Pair row units with column units, preferring
-    # edges that also cover same-sign diagonal units; a matching shadow
-    # is reconstructed exactly by this pass.
-    cover_edges = 0
+    # Phase: edge cover.  A matching shadow is reconstructed as the
+    # matching, which leaves r zero for every later phase.  Otherwise pair
+    # row units with column units, preferring edges that also cover
+    # same-sign diagonal units.
+    exact = _exact_matching_cover(target) or []
+    for e in exact:
+        _put_edge(phi, r, e, 1)
+    cover_edges = len(exact)
     for sign in (1, -1):
         while True:
             rx = {k: v for k, v in r.part_weights(Part.X).items() if v * sign > 0}
@@ -581,18 +572,21 @@ def decompose_bounded(target: SupportVector) -> DecompositionResult:
         for x, y, sign in _simple_matrix(n, 0, gamma, m, m + beta, -sigma):
             _put_edge(phi, r, Edge(x, y), sign)
 
-    # Phase: sum-part reduction.
+    # Phase: sum-part reduction, when anything is left to reduce.
     if any(v.part is not Part.S for v in r.support()):
         raise VerificationError("difference lift left residue off the sum part")
-    sub = bidc_reduce(r)
-    phi += sub.phi
+    bidc = ("bidc", 0, 0)
+    if not r.is_zero():
+        sub = bidc_reduce(r)
+        phi += sub.phi
+        bidc = ("bidc", sum(g for _, g, _ in sub.phases), sub.phi.size())
     if shadow(phi) != target:
         raise VerificationError("decomposition does not shadow the target")
     phases = (
         ("edge-cover", target.size(), cover_edges),
         ("xy-elimination", xy_edges, xy_edges),
         ("d-reduction", len(d_gens), 4 * len(d_gens)),
-        ("bidc", sum(g for _, g, _ in sub.phases), sub.phi.size()),
+        bidc,
     )
     return DecompositionResult(target, phi, phases)
 
@@ -1033,13 +1027,10 @@ def build_cascade(
         raise CapacityError("no admissible primary configuration for the cascade seed")
     used |= primary.vertices()
 
-    a, b, c, s, d = primary.a, primary.b, primary.c, primary.s, primary.d
-    spokes = (
-        edge_of(n, a, (c + s) % n),
-        edge_of(n, d, (b + s) % n),
-        edge_of(n, b, (a + s) % n),
-        edge_of(n, c, (d + s) % n),
-    )
+    # Spoke i is the primary's negative edge through the seed's i-th vertex.
+    spokes = [
+        next(f for f in primary.negative_edges() if v in f.vertices(n)) for v in seed_vs
+    ]
 
     links: list[ZeroSumConfig] = []
     for i, (spoke, t_edge, v_shared) in enumerate(zip(spokes, targets, seed_vs)):

@@ -80,8 +80,8 @@ class Envelope:
     b: float
 
     def __post_init__(self) -> None:
-        if self.b <= 0:
-            raise PreconditionError("b", "envelope parameter b must be positive")
+        if not (0 < self.b < math.inf):  # also false for NaN
+            raise PreconditionError("b", "envelope parameter b must be finite and positive")
 
     def e_q(self, n: int, p: float) -> float:
         """Allowed deviation of Q(i) from n^2 p^4 (inf at p = 0, its limit)."""
@@ -189,6 +189,11 @@ class _LiveBoard:
             raise VerificationError(f"Q = {self.q} drifted from the masks")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise PreconditionError("seed", f"must be a non-negative integer, got {seed}")
+
+
 def run_greedy(
     g: TorusGraph, seed: int, stop_fraction: float, debug: bool = False
 ) -> GreedyTrace:
@@ -207,6 +212,7 @@ def run_greedy(
     """
     if not (0.0 < stop_fraction <= 1.0):
         raise PreconditionError("stop-fraction", "stop_fraction must be in (0, 1]")
+    _check_seed(seed)
     n = g.n
     parts = g.parts()
     k = len(parts)
@@ -339,6 +345,7 @@ def knuth_count_estimator(g: TorusGraph, trials: int, seed: int = 0) -> float:
     Q(i), then drops every mask that meets it.  The trials draw in turn
     from one stream, SeedSequence(seed).
     """
+    _check_seed(seed)
     n = g.n
     edges = (Edge(x, y) for x in range(n) for y in range(n))
     masks = [g.edge_mask(e) for e in edges if g.has_edge(e)]

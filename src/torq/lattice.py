@@ -28,6 +28,15 @@ from .errors import PreconditionError
 
 QUEENS_PARTS = PART_ORDER
 SEMI_PARTS = (Part.X, Part.Y, Part.S)
+_KIND_PARTS = {"queens": QUEENS_PARTS, "semi": SEMI_PARTS}
+
+
+def kind_parts(kind: object) -> tuple[Part, ...]:
+    """The parts of a vector kind: "queens" has four, "semi" has no D."""
+    try:
+        return _KIND_PARTS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON kind
+        raise PreconditionError("kind", "must be 'queens' or 'semi'") from None
 
 
 class _Counter:
@@ -89,17 +98,21 @@ class _Counter:
 class SupportVector(_Counter):
     """Integer weights on the vertices of a board of side n.
 
-    kind is "queens" (4 parts) or "semi" (3 parts, no D).
-    Zero weights are never stored.
+    kind is "queens" (4 parts) or "semi" (3 parts, no D); any other
+    kind raises PreconditionError("kind").  Zero weights are never stored.
     """
 
     n: int
     entries: Mapping[Vertex, int] = field(default_factory=dict)
     kind: str = "queens"
+    _parts: tuple[Part, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_parts", kind_parts(self.kind))
+        super().__post_init__()
 
     def _check(self, v: Vertex) -> None:
-        parts = SEMI_PARTS if self.kind == "semi" else QUEENS_PARTS
-        if v.part not in parts or not (0 <= v.coord < self.n):
+        if v.part not in self._parts or not (0 <= v.coord < self.n):
             raise ValueError(f"vertex {v} invalid for n={self.n} kind={self.kind}")
 
     def _space(self) -> dict:
@@ -157,10 +170,7 @@ class SupportVector(_Counter):
         bad field by its path, such as ``entries[0].weight``."""
 
         def empty(n: int, top: dict) -> SupportVector:
-            kind = top.get("kind", "queens")
-            if kind not in ("queens", "semi"):
-                raise PreconditionError("kind", "must be 'queens' or 'semi'")
-            return SupportVector(n, kind=kind)
+            return SupportVector(n, kind=top.get("kind", "queens"))
 
         def key(ent: dict, i: int) -> Vertex:
             part = ent.get("part")
@@ -345,31 +355,28 @@ def check_lattice_semiqueens(v: SupportVector) -> Verdict:
     return Verdict(True)
 
 
+#: check_lattice_queens's condition names, as they read on an S-only vector.
+_S_CONDITIONS = {
+    "i": "sum", "a": "sum", "ii": "i-sum", "b": "i-sum",
+    "iv": "i2-sum", "d": "i2-sum", "e": "odd-sum",
+}
+
+
 def check_sublattice_S(v: SupportVector) -> Verdict:
     """Membership in the one-part sublattice: lattice members supported on
     the S part only.
 
-    Odd n: sum v = 0, sum i*v = 0 mod n, sum i^2*v = 0 mod n.  Even n: the
-    i^2 condition strengthens to divisibility by 2n and the odd-coordinate
-    weight sum must vanish exactly.
+    This is :func:`check_lattice_queens` on an S-only vector, where the
+    X, Y and D sums and moments are all 0.  Odd n: sum v = 0 (i), sum i*v
+    = 0 mod n (ii), sum i^2*v = 0 mod n (iv).  Even n: the i^2 condition
+    strengthens to divisibility by 2n (d) and the odd-coordinate weight
+    sum must vanish exactly (e).  Condition iii/c reads 0 = 0 and never
+    fails.
     """
-    n = v.n
     if any(u.part is not Part.S for u in v.entries):
         return Verdict(False, "support")
-    if v.part_sum(Part.S) != 0:
-        return Verdict(False, "sum")
-    if v.moment(Part.S, 1) % n != 0:
-        return Verdict(False, "i-sum")
-    q = v.moment(Part.S, 2)
-    if n % 2 == 1:
-        if q % n != 0:
-            return Verdict(False, "i2-sum")
-    else:
-        if q % (2 * n) != 0:
-            return Verdict(False, "i2-sum")
-        if v.odd_sum(Part.S) != 0:
-            return Verdict(False, "odd-sum")
-    return Verdict(True)
+    verdict = check_lattice_queens(v)
+    return verdict if verdict else Verdict(False, _S_CONDITIONS[verdict.failed])
 
 
 def in_sublattice_S(v: SupportVector) -> bool:
@@ -520,8 +527,7 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _vertex_index(n: int, kind: str, v: Vertex) -> int:
-    parts = SEMI_PARTS if kind == "semi" else QUEENS_PARTS
-    return parts.index(v.part) * n + v.coord
+    return kind_parts(kind).index(v.part) * n + v.coord
 
 
 _lattice_cache: dict[tuple[int, str], _EchelonLattice] = {}
@@ -530,8 +536,7 @@ _lattice_cache: dict[tuple[int, str], _EchelonLattice] = {}
 def _edge_lattice(n: int, kind: str) -> _EchelonLattice:
     key = (n, kind)
     if key not in _lattice_cache:
-        nparts = 3 if kind == "semi" else 4
-        lat = _EchelonLattice(nparts * n)
+        lat = _EchelonLattice(len(kind_parts(kind)) * n)
         for x in range(n):
             for y in range(n):
                 shade = edge_shadow(n, Edge(x, y), kind)
@@ -547,7 +552,6 @@ def hnf_oracle(n: int, kind: str, v: SupportVector) -> bool:
     exact integer elimination (independent of the congruence tests)."""
     if n > HNF_MAX_N:
         raise PreconditionError("n", f"hnf_oracle supports n <= {HNF_MAX_N}")
-    if kind not in ("queens", "semi"):
-        raise PreconditionError("kind", "must be 'queens' or 'semi'")
+    kind_parts(kind)  # names a bad kind before the cache lookup
     lat = _edge_lattice(n, kind)
     return lat.contains({_vertex_index(n, kind, u): w for u, w in v.entries.items()})

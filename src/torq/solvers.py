@@ -391,15 +391,13 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
             octets.pop()
 
     for _ in octet(0, 0, 0, 0):
-        tuples = tuple(octets)
-        wset = WSet(n, case, tuples, delta, _removed_vertices(n, tuples, delta))
-        _verify_wset(wset)
-        yield wset
+        yield wset_from_tuples(n, tuple(octets))
 
 
-def build_wset(n: int, node_limit: int = 20_000_000) -> WSet:
-    """The lexicographically smallest WSet for n's divisibility case."""
-    for wset in wset_candidates(n, node_limit):
+def build_wset(n: int) -> WSet:
+    """The lexicographically smallest WSet for n's divisibility case,
+    searched within 20,000,000 nodes."""
+    for wset in wset_candidates(n, 20_000_000):
         return wset
     raise CapacityError(f"no WSet exists within the searched range for n={n}")
 
@@ -445,17 +443,8 @@ def verify_tstar_lattice(n: int, w: WSet) -> Verdict:
     W, and runs the full queens-lattice membership test; a valid WSet
     must pass, which is what makes the all-ones target on the punctured
     board reachable."""
-    weights = {
-        part: dict.fromkeys(range(n), 1) for part in (Part.X, Part.Y, Part.S, Part.D)
-    }
-    for v in w.removed_vertices:
-        weights[v.part][v.coord] = 0
-    items = [
-        (part, coord, wt)
-        for part, col in weights.items()
-        for coord, wt in col.items()
-    ]
-    return check_lattice_queens(sv(n, items))
+    tstar = TorusGraph(n, removed=w.removed_vertices)
+    return check_lattice_queens(sv(n, [(v.part, v.coord, 1) for v in tstar.vertices()]))
 
 
 @dataclass(frozen=True)
@@ -532,7 +521,7 @@ def extend_classical(
         ]
         found, truncated = _first_matching(choices, 50_000, deadline)
         if found is not None:
-            return _assemble_extension(n, w, Matching.of(found))
+            return _assemble_extension(tstar, w, Matching.of(found))
         if not truncated:
             # The restart ran to exhaustion: this punctured torus has no
             # perfect matching at all, so further restarts are pointless.
@@ -575,8 +564,8 @@ def extend_classical_search(
     )
 
 
-def _assemble_extension(n: int, w: WSet, m: Matching) -> ClassicalExtension:
-    tstar = TorusGraph(n, removed=w.removed_vertices)
+def _assemble_extension(tstar: TorusGraph, w: WSet, m: Matching) -> ClassicalExtension:
+    n = tstar.n
     report = verify_matching(tstar, m, require_perfect=True)
     if not (report.valid and report.perfect):
         raise VerificationError("candidate matching fails verification on T*")

@@ -14,7 +14,6 @@ from torq.board import (
     Vertex,
     _first_matching,
     attacks,
-    box,
     centered,
     centered_range,
     edge_at_centered,
@@ -78,12 +77,9 @@ class TestEdges:
 class TestIntervals:
     def test_square_bounds_all_parts(self):
         i = square(5)
-        assert all(i.bound_for(p) == 5 for p in Part)
-
-    def test_box_caps_rows_and_columns(self):
-        i = box(9)
-        assert i.bound_for(Part.X) == 6
-        assert i.bound_for(Part.S) == 9
+        for p in Part:
+            assert i.contains(13, Vertex(p, 5)) and i.contains(13, Vertex(p, 8))  # -5
+            assert not i.contains(13, Vertex(p, 6)) and not i.contains(13, Vertex(p, 7))
 
     def test_contains_edge(self):
         assert square(2).contains_edge(11, Edge(1, 1))

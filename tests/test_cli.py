@@ -137,15 +137,19 @@ class TestDecompose:
     def test_golden_stdout(self):
         # Pinned bytes for each method: a signed 3-edge member that the
         # exact-matching path cannot take (all four bounded phases run),
-        # a sum of two q-gens, and a two-edge leave with its matching pair.
+        # the shadow of a 5-edge matching that it does take, a sum of two
+        # q-gens, and a two-edge leave with its matching pair.
         at = edge_at_centered
         bounded = (edge_shadow(31, at(31, -3, 0)) + edge_shadow(31, at(31, 2, -1))
                    - edge_shadow(31, at(31, 3, -1)))
+        matching = self.member(31, [at(31, -4, 3), at(31, -2, -3), at(31, 0, 1),
+                                    at(31, 3, 5), at(31, 6, -1)])
         qgens = (expand(31, Generator("q-gen", (2, 3, 5, 4)))
                  + expand(31, Generator("q-gen", (7, 1, 9, 12), -1)))
         leave = self.member(101, [at(101, 1, 2), at(101, -2, 1)])
         for name, v, args in (
             ("bounded", bounded, ()),
+            ("matching", matching, ()),
             ("bidc", qgens, ("--method", "bidc")),
             ("leave", leave, ("--method", "leave", "--radius", "4", "--region", "101")),
         ):
@@ -153,6 +157,13 @@ class TestDecompose:
             assert res.returncode == 0, (name, res.stderr)
             with open(os.path.join(GOLDEN, f"decompose_{name}.json")) as fh:
                 assert res.stdout == fh.read(), name
+
+    def test_small_board_with_nothing_to_reduce(self):
+        v = edge_shadow(3, edge_at_centered(3, 0, 0)).scaled(2)
+        for target, phi in ((v, [{"mult": 2, "x": 0, "y": 0}]), (sv(3, []), [])):
+            res = run_cli("decompose", "--n", "3", stdin=json.dumps(target.to_json()))
+            assert res.returncode == 0, res.stderr
+            assert json.loads(res.stdout)["phi"]["entries"] == phi
 
     def test_semi_vector_names_the_kind(self):
         stdin = json.dumps({"n": 31, "kind": "semi", "entries": []})
@@ -293,6 +304,11 @@ class TestErrors:
             (("lattice", "check", "--n", "16", "--ones", "--oracle"), "n"),
             (("decompose", "--n", "31", "--region", "-1"), "region"),
             (("greedy", "--n", "5", "--seeds", "0"), "seeds"),
+            (("greedy", "--n", "5", "--b", "nan"), "b"),
+            (("greedy", "--n", "5", "--b", "inf", "--seeds", "2"), "b"),
+            (("greedy", "--n", "5", "--b", "-inf"), "b"),
+            (("greedy", "--n", "5", "--seed", "-1"), "seed"),
+            (("greedy", "--n", "5", "--seed", "-1", "--seeds", "2"), "seed"),
             (("extend", "--n", "29"), "case"),
         ):
             res = run_cli(*args)

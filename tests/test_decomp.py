@@ -174,6 +174,15 @@ class TestDecomposeBounded:
             decompose_bounded(sv(31, [(Part.X, 0, 1)]))
         assert exc.value.condition == "i"
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_small_board_with_nothing_to_reduce(self, n):
+        # The edge cover leaves no sum-part residual, so the n >= 4 bound
+        # of bidc_reduce does not apply.
+        for v, phi in ((sv(n, []), {}), (edge_shadow(n, Edge(0, 0)).scaled(2), {Edge(0, 0): 2})):
+            res = decompose_bounded(v)
+            assert res.phi.entries == phi and shadow(res.phi) == v
+            assert res.phases[-1] == ("bidc", 0, 0)
+
 
 class TestPushDown:
     def test_reference_step(self):

@@ -176,6 +176,12 @@ class TestEnvelope:
             Envelope(0.0)
         assert exc.value.condition == "b"
 
+    @pytest.mark.parametrize("b", [math.nan, math.inf])
+    def test_rejects_nonfinite_b(self, b):
+        with pytest.raises(PreconditionError) as exc:
+            Envelope(b)
+        assert exc.value.condition == "b"
+
     def test_healthy_run_stays_inside(self):
         trace = run_greedy(TorusGraph(301), seed=0, stop_fraction=0.9)
         report = envelope_check(trace, b=0.05)
@@ -214,6 +220,13 @@ class TestKnuthEstimator:
 
     def test_unsolvable_board_is_zero(self):
         assert knuth_count_estimator(TorusGraph(6), trials=500, seed=0) == 0.0
+
+    def test_negative_seed_named(self):
+        for run in (lambda: knuth_count_estimator(TorusGraph(5), trials=1, seed=-1),
+                    lambda: run_greedy(TorusGraph(5), -1, 1.0)):
+            with pytest.raises(PreconditionError) as exc:
+                run()
+            assert exc.value.condition == "seed"
 
     # One trial's value has a standard deviation of about 1.4 times its
     # mean on these boards, so over 5000 trials 10% is about five

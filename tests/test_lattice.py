@@ -12,6 +12,7 @@ from torq.lattice import (
     Generator,
     SignedEdgeSet,
     SupportVector,
+    Verdict,
     check_lattice_queens,
     check_lattice_semiqueens,
     check_sublattice_S,
@@ -80,6 +81,18 @@ class TestSupportVector:
             sv(5, [(Part.D, 0, 1)], kind="semi")
         with pytest.raises(ValueError):
             sv(5, [], kind="semi").add(Vertex(Part.D, 0), 1)
+
+    def test_unknown_kind_rejected_everywhere(self):
+        # "Queens" once built a 4-part sv but a 3-part edge_shadow.
+        for build in (
+            lambda: sv(5, [(Part.D, 0, 1)], kind="Queens"),
+            lambda: edge_shadow(5, Edge(0, 0), "Queens"),
+            lambda: SupportVector.from_json({"n": 5, "kind": [], "entries": []}),
+            lambda: hnf_oracle(5, [], sv(5, [])),
+        ):
+            with pytest.raises(PreconditionError) as exc:
+                build()
+            assert exc.value.condition == "kind"
 
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError):
@@ -242,6 +255,14 @@ class TestSublatticeS:
     def test_single_sq_fails_second_moment(self):
         # One sq-gen step has second moment 2(a-b)(a-c), nonzero mod 7 here.
         assert check_sublattice_S(sq_vec(7, 0, 1, 3)).failed == "i2-sum"
+
+    def test_failure_names(self):
+        for v, name in (
+            (sv(7, [(Part.S, 0, 1)]), "sum"),
+            (sv(4, [(Part.S, 0, 1), (Part.S, 1, -1)]), "i-sum"),
+            (sv(2, [(Part.S, 0, -4), (Part.S, 1, 4)]), "odd-sum"),
+        ):
+            assert check_sublattice_S(v) == Verdict(False, name)
 
 
 class TestGenerators:
