@@ -40,6 +40,12 @@ class BoardKind(str, Enum):
     SEMIQUEENS_TOROIDAL = "semiqueens-toroidal"
 
 
+def check_side(n: int) -> None:
+    """Reject a board side below 1, naming the field n."""
+    if n < 1:
+        raise PreconditionError("n", "board side must be >= 1")
+
+
 def centered(n: int, coord: int) -> int:
     """Centered representative of a residue: odd n -> [-(n-1)/2,(n-1)/2],
     even n -> [-n/2+1, n/2]."""
@@ -139,8 +145,7 @@ class TorusGraph:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, BoardKind):
             raise PreconditionError("kind", f"must be a BoardKind, got {self.kind!r}")
-        if self.n < 1:
-            raise PreconditionError("n", "board side must be >= 1")
+        check_side(self.n)
         for v in self.removed:
             if v.part not in self.parts():
                 raise ValueError(f"removed vertex {v} not on this board")
@@ -291,10 +296,9 @@ def placement_from_json(obj: object) -> tuple[int, str, list[tuple[int, int]]]:
     if not isinstance(obj, dict):
         raise PreconditionError("top level", "must be a JSON object")
     n = _json_int(obj, "n")
-    if n < 1:
-        raise PreconditionError("n", "n: must be a positive integer")
+    check_side(n)
     if obj.get("mode") not in ("toroidal", "classical"):
-        raise PreconditionError("mode", "mode: must be 'toroidal' or 'classical'")
+        raise PreconditionError("mode", "must be 'toroidal' or 'classical'")
     if not isinstance(obj.get("queens"), list):
         raise PreconditionError("queens", "must be a JSON array" if "queens" in obj else "missing")
     queens = []
@@ -303,9 +307,7 @@ def placement_from_json(obj: object) -> tuple[int, str, list[tuple[int, int]]]:
             raise PreconditionError(f"queens[{i}]", "must be a [row, column] pair")
         r, c = _json_int(rc, 0, i, "queens"), _json_int(rc, 1, i, "queens")
         if not (0 <= r < n and 0 <= c < n):
-            raise PreconditionError(
-                f"queens[{i}]", f"queens[{i}]: coordinates out of range for n={n}"
-            )
+            raise PreconditionError(f"queens[{i}]", f"out of range for n={n}")
         queens.append((r, c))
     return n, obj["mode"], queens
 

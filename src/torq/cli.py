@@ -21,7 +21,7 @@ from random import Random
 import click
 
 from . import decomp, greedy, lattice, solvers
-from .board import Part, TorusGraph, dumps
+from .board import Part, TorusGraph, check_side, dumps
 from .errors import CapacityError, PreconditionError, VerificationError
 
 SCHEMA = "torq/1"
@@ -45,11 +45,6 @@ def _solver_bound() -> int | None:
         return int(raw) if raw else None
     except ValueError:
         raise PreconditionError("TORQ_MAX_EXHAUSTIVE", f"must be an integer, got {raw!r}") from None
-
-
-def _check_side(n: int) -> None:
-    if n < 1:
-        raise PreconditionError("n", "board side must be >= 1")
 
 
 def _read_vector(n: int) -> lattice.SupportVector:
@@ -108,7 +103,7 @@ def lattice_group() -> None:
 def check(n: int, ones: bool, mode: str, oracle: bool, out: str | None) -> None:
     """Membership verdict for a support vector (stdin JSON, or --ones)."""
     if ones:
-        _check_side(n)
+        check_side(n)
         kind = "semi" if mode == "semi" else "queens"
         v = lattice.sv(n, [(p, c, 1) for p in lattice.kind_parts(kind) for c in range(n)], kind)
     else:
@@ -185,7 +180,7 @@ def decompose(
 @click.option("--out", type=str, default=None)
 def zsc(n: int, seed: int, out: str | None) -> None:
     """A random valid zero-sum configuration, deterministic per seed."""
-    _check_side(n)
+    check_side(n)
     rng = Random(seed)
     for _ in range(100_000):
         cfg = decomp.make_config(
@@ -211,6 +206,7 @@ def greedy_cmd(
     n: int, seed: int, seeds: int | None, b: float, stop: float, out: str | None
 ) -> None:
     """Random greedy matching: trace CSV, or campaign JSON with --seeds."""
+    greedy.Envelope(b)  # rejects a bad --b before the run
     if seeds is not None:
         _emit_json(greedy.run_campaign(n, range(seed, seed + seeds), b, stop), out)
         return

@@ -7,11 +7,12 @@ over surviving vertices, and (for odd n) the signed parity disparity:
 the number of surviving odd-centered S vertices minus odd-centered D
 vertices, which changes only when a single-wrap edge is removed.
 
-The process keeps O(n) state: per part, a vertex-alive mask and the
-vertex degrees.  An edge is alive exactly when all its vertices are, so
-Q(i) is the sum of the row degrees; a uniform live edge is a row drawn
-with probability proportional to its degree, then a uniform live column
-of that row.
+The process keeps O(n) state: a (k, n) vertex-alive mask and a (k, n)
+degree array, one row per part, so a step's degree extremes are two
+reductions over the live degrees.  An edge is alive exactly when all its
+vertices are, so Q(i) is the sum of the X degrees; a uniform live edge
+is a row drawn with probability proportional to its degree, then a
+uniform live column of that row.
 
 Reference curves: with p(i) = 1 - 4i/|V(0)| the process tracks
 Q(i) ~ n^2 p^4 and degrees ~ n p^3, with error envelopes
@@ -19,7 +20,9 @@ e_q = 2(1 - 4 ln p) b n^2 and e_d = 2(1 - 4 ln p) b^(2/3) n for a
 user-chosen envelope width b (infinite at p = 0, reached when a run ends
 in a perfect matching).  The per-step product of Q(i) also yields
 an unbiased estimator of the number of ordered perfect edge sequences,
-i.e. n! times the perfect-matching count.
+i.e. n! times the perfect-matching count.  knuth_count_estimator
+computes it on its own small kernel, a filtered list of edge masks,
+which draws the same edges from the same seed as run_greedy.
 """
 
 from __future__ import annotations
@@ -33,18 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .board import (
-    BoardKind,
-    Edge,
-    Matching,
-    Part,
-    TorusGraph,
-    centered,
-)
+from .board import BoardKind, Edge, Matching, TorusGraph, centered
 from .errors import PreconditionError, VerificationError
-
-#: RNG family used by run_greedy; recorded in trace metadata.
-RNG_ALGORITHM = "pcg64"
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,6 @@ class GreedyTrace:
     seed: int
     stop_fraction: float
     kind: BoardKind
-    rng_algorithm: str
     steps: tuple[StepRecord, ...]
     matching: Matching
     completed: bool
@@ -104,88 +96,90 @@ def _centered_parity(n: int) -> np.ndarray:
     return np.where(c > n // 2, c - n, c) % 2
 
 
+# Which view of the line's coordinates (see _LiveBoard.line) each part
+# takes on a line of part i, indexed like PART_ORDER; None marks part i.
+_T, _C_PLUS_T, _C_MINUS_T, _T_MINUS_C, _TWO_T_MINUS_C = range(5)
+_LINE_VIEWS = (
+    (None, _T, _C_PLUS_T, _C_MINUS_T),  # X line: cells (c, t)
+    (_T, None, _C_PLUS_T, _T_MINUS_C),  # Y line: cells (t, c)
+    (_T, _C_MINUS_T, None, _TWO_T_MINUS_C),  # S line: cells (t, c - t)
+    (_T, _T_MINUS_C, _TWO_T_MINUS_C, None),  # D line: cells (t, t - c)
+)
+
+
 class _LiveBoard:
     """The surviving part of a board, held in O(n) state.
 
-    Per part, a vertex-alive mask and the degree of every vertex.  Edge
-    (x, y) is alive exactly when its X, Y, S (and D) vertices are all
-    alive, so no per-edge state exists.  Starts from the full board, on
-    which every vertex has degree n and Q = n^2.
+    A (k, n) vertex-alive mask and a (k, n) degree array, row i for part
+    PART_ORDER[i] (the first k parts are the board's).  Edge (x, y) is alive exactly
+    when its X, Y, S (and D) vertices are all alive, so no per-edge
+    state exists.  Starts from the full board, on which every vertex has
+    degree n and Q = n^2.
     """
 
-    def __init__(self, n: int, parts: tuple[Part, ...]) -> None:
+    def __init__(self, n: int, k: int) -> None:
         self.n = n
-        self.parts = parts
-        self.alive = {part: np.ones(n, dtype=bool) for part in parts}
-        self.deg = {part: np.full(n, n, dtype=np.int64) for part in parts}
+        self.alive = np.ones((k, n), dtype=bool)
+        self.deg = np.full((k, n), n, dtype=np.int64)
         self.q = n * n
         # mod[j] = j mod n: every coordinate sequence along a line is a
         # slice of it, so building a line allocates nothing of size n.
         self._mod = np.arange(3 * n) % n
 
-    def line(self, part: Part, c: int) -> tuple[dict[Part, np.ndarray], np.ndarray]:
-        """The cells on the line of live vertex (part, c): their
-        coordinates in the other parts, and 1 where the cell is live.
+    def line(self, i: int, c: int) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
+        """The cells on the line of live vertex (i, c): their coordinates
+        in each other row j as [(j, idx)], and 1 where the cell is live.
 
         The cells are (c, t) on an X line and (t, .) on the others, for
-        t = 0..n-1.
+        t = 0..n-1.  On an S or D line of an even-n board the other
+        diagonal's coordinates 2t - c repeat.
         """
         n, m = self.n, self._mod
-        t = m[:n]
-        c_plus_t, c_minus_t = m[c : c + n], m[c + n : c : -1]
-        t_minus_c, two_t_minus_c = m[n - c : 2 * n - c], m[n - c : 3 * n - c : 2]
-        if part is Part.X:  # cells (c, t)
-            coords = {Part.Y: t, Part.S: c_plus_t, Part.D: c_minus_t}
-        elif part is Part.Y:  # cells (t, c)
-            coords = {Part.X: t, Part.S: c_plus_t, Part.D: t_minus_c}
-        elif part is Part.S:  # cells (t, c - t); D = 2t - c repeats for even n
-            coords = {Part.X: t, Part.Y: c_minus_t, Part.D: two_t_minus_c}
-        else:  # cells (t, t - c); S = 2t - c repeats for even n
-            coords = {Part.X: t, Part.Y: t_minus_c, Part.S: two_t_minus_c}
-        coords = {p: coords[p] for p in self.parts if p is not part}
+        views = (m[:n], m[c : c + n], m[c + n : c : -1], m[n - c : 2 * n - c],
+                 m[n - c : 3 * n - c : 2])
+        row = _LINE_VIEWS[i]
+        coords = [(j, views[row[j]]) for j in range(len(self.alive)) if j != i]
         live = np.ones(n, dtype=bool)
-        for p, idx in coords.items():
-            live &= self.alive[p][idx]
+        for j, idx in coords:
+            live &= self.alive[j][idx]
         return coords, live.astype(np.int64)
 
     def sample(self, r: int) -> Edge:
         """The r-th live edge (0 <= r < Q) in (x, y) order.
 
         The row is the x with cum[x-1] <= r < cum[x] over the cumulative
-        row degrees, drawn with probability deg_X[x]/Q; r's offset in that
+        X degrees, drawn with probability deg[0, x]/Q; r's offset in that
         row is then uniform over its live columns.
         """
-        cum = np.cumsum(self.deg[Part.X])
+        cum = np.cumsum(self.deg[0])
         x = int(np.searchsorted(cum, r, side="right"))
-        offset = r - int(cum[x]) + int(self.deg[Part.X][x])
-        _, live = self.line(Part.X, x)
+        offset = r - int(cum[x]) + int(self.deg[0, x])
+        _, live = self.line(0, x)
         return Edge(x, int(np.flatnonzero(live)[offset]))
 
-    def kill(self, part: Part, c: int) -> None:
-        """Delete live vertex (part, c) and the live edges through it.
+    def kill(self, i: int, c: int) -> None:
+        """Delete live vertex (i, c) and the live edges through it.
 
-        np.subtract.at accumulates: on an S or D line of an even-n board
-        the other diagonal's coordinates repeat.
+        np.subtract.at accumulates repeated coordinates.
         """
-        coords, live = self.line(part, c)
-        for p, idx in coords.items():
-            np.subtract.at(self.deg[p], idx, live)
-        self.q -= int(self.deg[part][c])
-        self.deg[part][c] = 0
-        self.alive[part][c] = False
+        coords, live = self.line(i, c)
+        for j, idx in coords:
+            np.subtract.at(self.deg[j], idx, live)
+        self.q -= int(self.deg[i, c])
+        self.deg[i, c] = 0
+        self.alive[i, c] = False
 
     def check(self) -> None:
         """Rebuild the degrees and Q from the masks and compare."""
-        deg = {part: np.zeros(self.n, dtype=np.int64) for part in self.parts}
-        for x in np.flatnonzero(self.alive[Part.X]):
-            coords, live = self.line(Part.X, int(x))
-            deg[Part.X][x] = live.sum()
-            for p, idx in coords.items():
-                np.add.at(deg[p], idx, live)
-        for part in self.parts:
-            if not np.array_equal(self.deg[part], deg[part]):
-                raise VerificationError(f"{part.value} degrees drifted from the masks")
-        if self.q != int(deg[Part.X].sum()):
+        deg = np.zeros_like(self.deg)
+        for x in np.flatnonzero(self.alive[0]):
+            coords, live = self.line(0, int(x))
+            deg[0, x] = live.sum()
+            for j, idx in coords:
+                np.add.at(deg[j], idx, live)
+        if not np.array_equal(self.deg, deg):
+            raise VerificationError("degrees drifted from the masks")
+        if self.q != int(deg[0].sum()):
             raise VerificationError(f"Q = {self.q} drifted from the masks")
 
 
@@ -216,45 +210,35 @@ def run_greedy(
     n = g.n
     parts = g.parts()
     k = len(parts)
-    has_d = Part.D in parts
 
-    board = _LiveBoard(n, parts)
+    board = _LiveBoard(n, k)
     for v in g.removed:
-        board.kill(v.part, v.coord)
-    vertex_alive, deg = board.alive, board.deg
+        board.kill(parts.index(v.part), v.coord)
+    alive, deg = board.alive, board.deg
 
     v0 = g.vertex_count()
-    track_parity = has_d and n % 2 == 1
+    track_parity = k == 4 and n % 2 == 1
     par = _centered_parity(n)
     disparity = 0
-    if track_parity:
-        disparity = int(par[vertex_alive[Part.S]].sum()) - int(
-            par[vertex_alive[Part.D]].sum()
-        )
+    if track_parity:  # rows 2 and 3 are S and D
+        disparity = int(par[alive[2]].sum()) - int(par[alive[3]].sum())
 
-    m_max = min(int(vertex_alive[part].sum()) for part in parts)
+    m_max = int(alive.sum(axis=1).min())
     m_target = math.ceil(stop_fraction * m_max)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     def record(i: int) -> StepRecord:
-        d_lo: int | None = None
-        d_hi = 0
-        for part in parts:
-            mask = vertex_alive[part]
-            if mask.any():
-                col = deg[part][mask]
-                lo = int(col.min())
-                d_lo = lo if d_lo is None else min(d_lo, lo)
-                d_hi = max(d_hi, int(col.max()))
-        return StepRecord(i, board.q, d_lo or 0, d_hi, disparity, 1.0 - (k * i) / v0)
+        live = deg[alive]
+        d_lo, d_hi = (int(live.min()), int(live.max())) if live.size else (0, 0)
+        return StepRecord(i, board.q, d_lo, d_hi, disparity, 1.0 - (k * i) / v0)
 
     steps = [record(0)]
     chosen: list[Edge] = []
     while len(chosen) < m_target and board.q > 0:
         e = board.sample(int(rng.integers(board.q)))
-        for v in g.edge_vertices(e):
-            board.kill(v.part, v.coord)
+        for i, v in enumerate(g.edge_vertices(e)):
+            board.kill(i, v.coord)
         if track_parity:
             disparity += int(par[e.d(n)]) - int(par[e.s(n)])
         chosen.append(e)
@@ -268,7 +252,6 @@ def run_greedy(
         seed=seed,
         stop_fraction=stop_fraction,
         kind=g.kind,
-        rng_algorithm=RNG_ALGORITHM,
         steps=tuple(steps),
         matching=Matching.of(chosen),
         completed=len(chosen) >= m_target,
@@ -423,6 +406,7 @@ def run_campaign(
     """Run one greedy trace per seed and fold the summary statistics."""
     if len(seeds) == 0:
         raise PreconditionError("seeds", "a campaign needs at least one seed")
+    Envelope(b)  # rejects a bad b before the runs
     g = TorusGraph(n)
     fracs: list[float] = []
     estimates: list[float] = []

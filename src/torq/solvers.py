@@ -31,6 +31,7 @@ from .board import (
     Vertex,
     _first_matching,
     attacks,
+    check_side,
     placement_to_json,
     verify_matching,
 )
@@ -44,8 +45,7 @@ DEFAULT_PARTIAL_BOUND = 16
 
 
 def _check_n(n: int, bound: int | None, default: int) -> None:
-    if n < 1:
-        raise PreconditionError("n", "board side must be >= 1")
+    check_side(n)
     limit = default if bound is None else bound
     if n > limit:
         raise CapacityError(

@@ -24,6 +24,7 @@ from torq.board import (
     verify_matching,
 )
 from torq.errors import PreconditionError
+from torq.solvers import count_toroidal, max_partial_toroidal
 
 
 class TestCentered:
@@ -123,6 +124,15 @@ class TestTorusGraph:
             TorusGraph(5, kind)
         assert exc.value.condition == "kind"
 
+    def test_side_check_is_shared(self):
+        # Boards, exact solvers and placements reject n < 1 alike.
+        for build in (lambda: TorusGraph(0), lambda: count_toroidal(-1),
+                      lambda: max_partial_toroidal(0),
+                      lambda: placement_from_json({"n": 0, "mode": "toroidal", "queens": []})):
+            with pytest.raises(PreconditionError) as exc:
+                build()
+            assert (exc.value.condition, str(exc.value)) == ("n", "board side must be >= 1")
+
 
 class TestEdgeMask:
     @pytest.mark.parametrize("kind", list(BoardKind))
@@ -201,12 +211,26 @@ class TestPlacementJson:
 
     def test_rejects_out_of_range_with_field_path(self):
         obj = placement_to_json(5, "toroidal", [(0, 9)])
-        with pytest.raises(ValueError, match=r"queens\[0\]"):
+        with pytest.raises(PreconditionError) as exc:
             placement_from_json(obj)
+        assert exc.value.condition == "queens[0]"
 
     def test_rejects_bad_n(self):
-        with pytest.raises(ValueError, match="n:"):
+        with pytest.raises(PreconditionError) as exc:
             placement_from_json({"n": 0, "mode": "toroidal", "queens": []})
+        assert exc.value.condition == "n"
+
+    @pytest.mark.parametrize("obj", [
+        {"n": 0, "mode": "toroidal", "queens": []},
+        {"n": 5, "mode": "diagonal", "queens": []},
+        {"n": 5, "mode": "toroidal", "queens": [[0, 5]]},
+    ])
+    def test_message_does_not_repeat_the_field(self, obj):
+        # The CLI prints "error: <field>: <message>", so a message that
+        # starts with the field would name it twice.
+        with pytest.raises(PreconditionError) as exc:
+            placement_from_json(obj)
+        assert not str(exc.value).startswith(f"{exc.value.condition}:")
 
     @pytest.mark.parametrize("obj,field", [
         ([], "top level"),

@@ -229,6 +229,26 @@ class TestGreedy:
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["summary"]["inside_fraction_median"] == 1.0
 
+    def test_golden_stdout(self):
+        # Odd n, where the parity column moves; even n; and a campaign.
+        for name, args in (
+            ("greedy_n25.csv", ("--n", "25", "--stop", "1.0")),
+            ("greedy_n24_seed3.csv", ("--n", "24", "--seed", "3", "--stop", "1.0")),
+            ("greedy_campaign_n31.json", ("--n", "31", "--seeds", "3", "--stop", "0.8")),
+        ):
+            res = run_cli("greedy", *args)
+            assert res.returncode == 0, (name, res.stderr)
+            with open(os.path.join(GOLDEN, name)) as fh:
+                assert res.stdout == fh.read(), name
+
+    def test_bad_b_is_rejected_before_the_run(self):
+        for seeds in ((), ("--seeds", "2")):
+            err = io.StringIO()
+            with (mock.patch("torq.greedy.run_greedy", side_effect=AssertionError("ran")),
+                  contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+                code = main(["greedy", "--n", "2001", "--b", "nan", *seeds])
+            assert code == 2 and err.getvalue().startswith("error: b: "), (seeds, err.getvalue())
+
     def test_empty_campaign_is_rejected(self):
         for count in ("0", "-2"):
             res = run_cli("greedy", "--n", "5", "--seeds", count)

@@ -12,7 +12,6 @@ import pytest
 from torq.board import BoardKind, Edge, Part, TorusGraph, Vertex, verify_matching
 from torq.errors import PreconditionError, VerificationError
 from torq.greedy import (
-    RNG_ALGORITHM,
     CountEstimate,
     Envelope,
     GreedyTrace,
@@ -50,7 +49,6 @@ class TestRunGreedy:
         assert trace.steps[0].p == 1.0
         qs = [rec.q for rec in trace.steps]
         assert all(a > b for a, b in zip(qs, qs[1:]))
-        assert trace.rng_algorithm == RNG_ALGORITHM
         assert verify_matching(TorusGraph(n), trace.matching).valid
 
     def test_probability_schedule(self):
@@ -239,6 +237,21 @@ class TestKnuthEstimator:
     def test_matches_exact_counts_at_n7(self, g, want):
         est = knuth_count_estimator(g, trials=5000, seed=1)
         assert abs(est - want) <= 0.10 * want
+
+    @pytest.mark.parametrize("kind", list(BoardKind))
+    @pytest.mark.parametrize("punctured", [False, True])
+    def test_one_trial_is_the_trace_product(self, kind, punctured):
+        # Both kernels draw the r-th live edge in (x, y) order for r
+        # uniform below Q from SeedSequence(seed), so one Knuth trial is
+        # the product of the trace's Q(i), or 0 if the trace dies early.
+        for n in range(1, 12):
+            holes = {Vertex(Part.Y, n - 1), Vertex(Part.S, n // 2)} if punctured else set()
+            g = TorusGraph(n, kind, frozenset(holes))
+            for seed in range(6):
+                trace = run_greedy(g, seed, 1.0)
+                product = math.prod(rec.q for rec in trace.steps[: len(trace.matching)])
+                want = product if trace.completed else 0
+                assert knuth_count_estimator(g, 1, seed) == want, (n, seed)
 
     def test_punctured_board(self):
         # T(7) without X0, Y0, S0 and D0: the 6! orders of each perfect
