@@ -31,7 +31,6 @@ from .decomp import (
     DecompositionResult,
     ZeroSumConfig,
     bidc_reduce,
-    bidc_size_bound,
     build_cascade,
     cover_leave,
     decompose_bounded,

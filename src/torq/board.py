@@ -56,13 +56,6 @@ def centered(n: int, coord: int) -> int:
     return c
 
 
-def centered_range(n: int) -> tuple[int, int]:
-    """Inclusive (lo, hi) of the centered representative range."""
-    if n % 2 == 1:
-        return (-(n - 1) // 2, (n - 1) // 2)
-    return (-n // 2 + 1, n // 2)
-
-
 @dataclass(frozen=True, order=True)
 class Vertex:
     """A vertex of the toroidal board: a part and a residue coordinate."""

@@ -102,9 +102,9 @@ def lattice_group() -> None:
 @click.option("--out", type=str, default=None)
 def check(n: int, ones: bool, mode: str, oracle: bool, out: str | None) -> None:
     """Membership verdict for a support vector (stdin JSON, or --ones)."""
+    kind = "semi" if mode == "semi" else "queens"
     if ones:
         check_side(n)
-        kind = "semi" if mode == "semi" else "queens"
         v = lattice.sv(n, [(p, c, 1) for p in lattice.kind_parts(kind) for c in range(n)], kind)
     else:
         v = _read_vector(n)
@@ -124,7 +124,6 @@ def check(n: int, ones: bool, mode: str, oracle: bool, out: str | None) -> None:
     if oracle:
         # The one-part sublattice is exactly the set of S-supported
         # lattice members, so the queens-lattice oracle covers it too.
-        kind = "semi" if mode == "semi" else "queens"
         member = lattice.hnf_oracle(n, kind, v)
         if mode == "sublattice-s":
             member = member and all(u.part is Part.S for u in v.entries)

@@ -19,8 +19,9 @@ with no residue on the other three parts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .board import (
     Edge,
@@ -217,12 +218,12 @@ def _sq_step_decompose(n: int, weights: dict[int, int]) -> list[tuple[int, int, 
     ``sign * (+1@a, -1@p, -1@q, +1@(p+q-a))``; the total absolute weight
     drops by exactly two per emitted step.
     """
-    w = {k: v for k, v in weights.items() if v}
+    w = Counter(weights)
     gens: list[tuple[int, int, int, int]] = []
-    while w:
+    while any(w.values()):
         a0 = min(k for k, v in w.items() if v)
         sigma = 1 if w[a0] > 0 else -1
-        opp = sorted(k for k, v in w.items() if (v > 0) != (sigma > 0))
+        opp = sorted(k for k, v in w.items() if v * sigma < 0)
         if not opp:
             raise VerificationError("sum-part decomposition lost zero total weight")
         p = opp[0]
@@ -235,11 +236,7 @@ def _sq_step_decompose(n: int, weights: dict[int, int]) -> list[tuple[int, int, 
         r = (p + q - a0) % n
         gens.append((sigma, a0, p, q))
         for coord, delta in ((a0, -sigma), (p, sigma), (q, sigma), (r, -sigma)):
-            nv = w.get(coord, 0) + delta
-            if nv:
-                w[coord] = nv
-            else:
-                w.pop(coord, None)
+            w[coord] += delta
     return gens
 
 
@@ -266,7 +263,7 @@ class _BinaryReducer:
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.classes: dict[int, int] = {}
+        self.classes: Counter[int] = Counter()
         self.steps: list[tuple[str, int, int, int, int, int]] = []
 
     def record(self, phase: str, mult: int, a: int, b: int, c: int, s: int) -> None:
@@ -279,13 +276,6 @@ class _BinaryReducer:
                 f"internal Q step (a={a}, b={b}, c={c}, s={s}) unrealizable at n={n}"
             )
         self.steps.append((phase, mult, a, b, c, s))
-
-    def bump_class(self, j: int, w: int) -> None:
-        nv = self.classes.get(j, 0) + w
-        if nv:
-            self.classes[j] = nv
-        else:
-            self.classes.pop(j, None)
 
     def _is_small_power(self, g: int) -> bool:
         return g > 0 and (g & (g - 1)) == 0 and g <= self.n // 2
@@ -337,7 +327,7 @@ class _BinaryReducer:
         n = self.n
         a %= n
         if a == 0:
-            self.bump_class(g.bit_length() - 1, w)
+            self.classes[g.bit_length() - 1] += w
             return
         if g == 1 and n % 2 == 0 and a % 2 == 1:
             # An odd base cannot be shifted home directly at even n;
@@ -346,7 +336,7 @@ class _BinaryReducer:
             self._base_shift(-w, a + 1, 1)
             return
         self.record("base-shift", w, a, 1, g, (n - a) % n)
-        self.bump_class(g.bit_length() - 1, w)
+        self.classes[g.bit_length() - 1] += w
 
 
 def bidc_size_bound(weight: int, n: int) -> int:
@@ -413,7 +403,7 @@ def bidc_reduce(v: SupportVector) -> DecompositionResult:
     k = total2 // (2 * n)
     if k:
         red.record("i2-zeroing", k, 0, 1, 2, (n - 2) % n)
-        red.bump_class(1, -k)
+        red.classes[1] -= k
         # Fold the displaced step through an explicit binary chain so the
         # class second moment drops by exactly 2n per copy.
         pos = 0
@@ -424,23 +414,22 @@ def bidc_reduce(v: SupportVector) -> DecompositionResult:
     # Binary carries: pairs of a base class fold into the next class.
     cap = (n // 2).bit_length() - 1
     for j in range(cap):
-        cj = red.classes.get(j, 0)
-        q, r = divmod(cj, 2)
+        q, r = divmod(red.classes[j], 2)
         if q:
             if j == 0 and n % 2 == 0:
                 raise VerificationError("even-n parity invariant left a unit-class surplus")
             red.record("binary-carry", q, 0, 1, 1 << j, 1 << j)
-            red.bump_class(j, -2 * q)
-            red.bump_class(j + 1, q)
+            red.classes[j] -= 2 * q
+            red.classes[j + 1] += q
         if r and j == 0 and n % 2 == 0:
             raise VerificationError("even-n parity invariant left a unit-class surplus")
     if any(red.classes.values()):
         raise VerificationError("class residual nonzero after carries")
 
     phi = SignedEdgeSet(n)
-    phase_gadgets: dict[str, int] = {}
+    phase_gadgets: Counter[str] = Counter()
     for phase, mult, a, b, c, s in red.steps:
-        phase_gadgets[phase] = phase_gadgets.get(phase, 0) + abs(mult)
+        phase_gadgets[phase] += abs(mult)
         for x, y, sign in _q_step_edges(n, a, b, c, s):
             phi.add(Edge(x, y), sign * mult)
     if shadow(phi) != v:
@@ -453,7 +442,7 @@ def bidc_reduce(v: SupportVector) -> DecompositionResult:
         ("power-of-2", rewrite_steps, 0),
     ]
     for name in ("shift-to-1", "base-shift", "i2-zeroing", "binary-carry"):
-        gadgets = phase_gadgets.get(name, 0)
+        gadgets = phase_gadgets[name]
         phases.append((name, gadgets, 8 * gadgets))
     return DecompositionResult(v, phi, tuple(phases))
 
@@ -650,19 +639,12 @@ def push_down(u: SupportVector, t: int) -> SignedEdgeSet:
 # --- zero-summing of diagonal support -----------------------------------
 
 
-def _balance_counts(u: SupportVector) -> tuple[int, int]:
-    """(odd, even) centered-parity sums of the S part minus the D part."""
-    n = u.n
-    odd = even = 0
-    for v, w in u.entries.items():
-        if v.part not in (Part.S, Part.D):
-            continue
-        sign = 1 if v.part is Part.S else -1
-        if centered(n, v.coord) % 2:
-            odd += sign * w
-        else:
-            even += sign * w
-    return odd, even
+def _diagonals_balanced(u: SupportVector) -> bool:
+    """Whether the S and D parts carry equal weight in each centered
+    parity class: equal sums and equal odd sums."""
+    stats = u.part_stats()
+    s, d = stats[Part.S], stats[Part.D]
+    return s.sum == d.sum and s.odd_weight == d.odd_weight
 
 
 def zero_sum_support(u: SupportVector) -> SignedEdgeSet:
@@ -675,8 +657,7 @@ def zero_sum_support(u: SupportVector) -> SignedEdgeSet:
     holds.
     """
     n = u.n
-    odd, even = _balance_counts(u)
-    if odd != 0 or even != 0:
+    if not _diagonals_balanced(u):
         raise PreconditionError(
             "parity-balance",
             "diagonal parity classes are unbalanced between the sum and difference parts",
@@ -742,8 +723,7 @@ def cover_leave(leave: SupportVector, radius: int) -> DecompositionResult:
     verdict = check_lattice_queens(leave)
     if not verdict:
         raise PreconditionError("qualifying-leave condition 3", verdict.failed)
-    odd, even = _balance_counts(leave)
-    if odd != 0 or even != 0:
+    if not _diagonals_balanced(leave):
         raise PreconditionError(
             "qualifying-leave condition 4", "diagonal parity classes unbalanced"
         )
@@ -826,17 +806,26 @@ def _links(
             z = make_config(n, e_pos.x, (e_pos.y - q) % n, e_neg.x, q)
         vs = z.vertices()
         fresh = vs - keep
-        admissible = len(vs) == 16 and len(fresh) == 9
-        if admissible:
-            zset = z.edge_set()
-            admissible = zset.mult(e_pos) == 1 and zset.mult(e_neg) == -1
+        # With sixteen distinct vertices the two sides share no edge, so
+        # an edge's side is its multiplicity in z.edge_set().
+        admissible = (
+            len(vs) == 16
+            and len(fresh) == 9
+            and e_pos in z.positive_edges()
+            and e_neg in z.negative_edges()
+        )
         yield (z, fresh) if admissible else None
 
 
 def _matching_pair(g: TorusGraph, phi: SignedEdgeSet, what: str) -> tuple[Matching, Matching]:
     """The positive and negative edges of phi as two matchings, each
     verified on g."""
-    pair = Matching.of(phi.positive_part()), Matching.of(phi.negative_part())
+    # Edge e of multiplicity m appears m times on the positive side or -m
+    # times on the negative one, so a multi-edge fails verify_matching.
+    pair = tuple(
+        Matching.of(e for e, m in sorted(phi.entries.items()) for _ in range(sign * m))
+        for sign in (1, -1)
+    )
     for m in pair:
         report = verify_matching(g, m)
         if not report.valid:
@@ -968,19 +957,14 @@ class Cascade:
         }
 
 
-def build_cascade(
-    g: TorusGraph,
-    e: Edge,
-    targets: Sequence[Edge],
-    avoid: Iterable[Vertex] = (),
-) -> Cascade:
+def build_cascade(g: TorusGraph, e: Edge, targets: Sequence[Edge]) -> Cascade:
     """Link a seed edge to four 1-intersecting target edges.
 
     Each target must share with the seed exactly the seed's vertex in one
     part (in part order X, Y, S, D) and nothing else; the sixteen seed
     vertices must be distinct, and every edge of the seed and targets must
-    be an edge of ``g``.  All fresh vertices avoid ``avoid`` and the
-    vertices removed from ``g``, and both matchings are verified on ``g``.
+    be an edge of ``g``.  All fresh vertices avoid the vertices removed
+    from ``g``, and both matchings are verified on ``g``.
     """
     n = g.n
     if len(targets) != 4:
@@ -1006,7 +990,7 @@ def build_cascade(
         seed_all |= tvs
     if len(seed_all) != 16:
         raise PreconditionError("cascade-overlap", "seed vertices are not sixteen distinct")
-    used = seed_all | set(avoid) | g.removed
+    used = seed_all | g.removed
 
     # Primary configuration: contains the seed edge positively, avoids
     # every other used vertex; two free parameters.

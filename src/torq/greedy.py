@@ -207,6 +207,8 @@ def run_greedy(
     if not (0.0 < stop_fraction <= 1.0):
         raise PreconditionError("stop-fraction", "stop_fraction must be in (0, 1]")
     _check_seed(seed)
+    if g.vertex_count() == 0:
+        raise PreconditionError("board", f"the n={g.n} board has no vertex left")
     n = g.n
     parts = g.parts()
     k = len(parts)

@@ -14,6 +14,7 @@ weighted congruences in i and i^2; for even n an additional exact parity
 identity is required (the sum of weights on odd S-coordinates must equal
 the sum on odd D-coordinates — every even-n edge has S and D coordinates
 of equal parity, so this quantity is invariant and zero on the lattice).
+Each test reads its sums from one ``SupportVector.part_stats`` pass.
 An independent Hermite-style integer elimination oracle cross-checks the
 congruence tests at small n.
 """
@@ -21,9 +22,9 @@ congruence tests at small n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .board import Edge, Part, PART_ORDER, Vertex, _json_int
+from .board import Edge, Part, PART_ORDER, Vertex, _json_int, centered
 from .errors import PreconditionError
 
 QUEENS_PARTS = PART_ORDER
@@ -37,6 +38,17 @@ def kind_parts(kind: object) -> tuple[Part, ...]:
         return _KIND_PARTS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable JSON kind
         raise PreconditionError("kind", "must be 'queens' or 'semi'") from None
+
+
+class PartStats(NamedTuple):
+    """The sums of one part of a vector, over its coordinates c (residues)
+    with weights w: sum w, sum c*w, sum c^2*w, and sum w over the c whose
+    centered representative is odd (at even n, the odd residues)."""
+
+    sum: int
+    i_sum: int
+    i2_sum: int
+    odd_weight: int
 
 
 class _Counter:
@@ -90,6 +102,13 @@ class _Counter:
     def __sub__(self, other):
         return self + (-other)
 
+    def scaled(self, k: int):
+        """k times this counter, built through the constructor."""
+        return type(self)(entries={key: k * m for key, m in self.entries.items()}, **self._space())
+
+    def __neg__(self):
+        return self.scaled(-1)
+
     def size(self) -> int:
         return sum(abs(m) for m in self.entries.values())
 
@@ -136,20 +155,19 @@ class SupportVector(_Counter):
     def part_weights(self, part: Part) -> dict[int, int]:
         return {v.coord: w for v, w in self.entries.items() if v.part is part}
 
-    def part_sum(self, part: Part) -> int:
-        return sum(w for v, w in self.entries.items() if v.part is part)
-
-    def moment(self, part: Part, power: int) -> int:
-        return sum(v.coord**power * w for v, w in self.entries.items() if v.part is part)
-
-    def odd_sum(self, part: Part) -> int:
-        return sum(w for v, w in self.entries.items() if v.part is part and v.coord % 2 == 1)
-
-    def __neg__(self) -> "SupportVector":
-        return SupportVector(self.n, {v: -w for v, w in self.entries.items()}, self.kind)
-
-    def scaled(self, k: int) -> "SupportVector":
-        return SupportVector(self.n, {v: k * w for v, w in self.entries.items()}, self.kind)
+    def part_stats(self) -> dict[Part, PartStats]:
+        """The sums of every part, in one pass over the entries; a part
+        this vector lacks (D of a semi vector) reads all zeros."""
+        n = self.n
+        acc = {p: [0, 0, 0, 0] for p in PART_ORDER}
+        for v, w in self.entries.items():
+            c, row = v.coord, acc[v.part]
+            row[0] += w
+            row[1] += c * w
+            row[2] += c * c * w
+            if centered(n, c) % 2:
+                row[3] += w
+        return {p: PartStats(*row) for p, row in acc.items()}
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -206,22 +224,6 @@ class SignedEdgeSet(_Counter):
 
     def mult(self, e: Edge) -> int:
         return self.entries.get(e, 0)
-
-    def __neg__(self) -> "SignedEdgeSet":
-        return SignedEdgeSet(self.n, {e: -m for e, m in self.entries.items()})
-
-    def positive_part(self) -> list[Edge]:
-        """Each positive edge repeated by multiplicity, sorted."""
-        out = []
-        for e, m in sorted(self.entries.items()):
-            out.extend([e] * max(m, 0))
-        return out
-
-    def negative_part(self) -> list[Edge]:
-        out = []
-        for e, m in sorted(self.entries.items()):
-            out.extend([e] * max(-m, 0))
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -317,24 +319,23 @@ def check_lattice_queens(v: SupportVector) -> Verdict:
     (e) the odd-coordinate weight sums on S and D agree exactly.
     """
     n = v.n
-    sx, sy, ss, sd = (v.part_sum(p) for p in QUEENS_PARTS)
+    stats = v.part_stats()
+    x, y, s, d = (stats[p] for p in QUEENS_PARTS)
     odd = n % 2 == 1
-    if not (sx == sy == ss == sd):
+    if not (x.sum == y.sum == s.sum == d.sum):
         return Verdict(False, "i" if odd else "a")
-    mx, my, ms, md = (v.moment(p, 1) for p in QUEENS_PARTS)
-    if (mx + my - ms) % n != 0:
+    if (x.i_sum + y.i_sum - s.i_sum) % n != 0:
         return Verdict(False, "ii" if odd else "b")
-    if (mx - my - md) % n != 0:
+    if (x.i_sum - y.i_sum - d.i_sum) % n != 0:
         return Verdict(False, "iii" if odd else "c")
-    qx, qy, qs, qd = (v.moment(p, 2) for p in QUEENS_PARTS)
-    combo = qs + qd - 2 * qx - 2 * qy
+    combo = s.i2_sum + d.i2_sum - 2 * x.i2_sum - 2 * y.i2_sum
     if odd:
         if combo % n != 0:
             return Verdict(False, "iv")
     else:
         if combo % (2 * n) != 0:
             return Verdict(False, "d")
-        if v.odd_sum(Part.S) != v.odd_sum(Part.D):
+        if s.odd_weight != d.odd_weight:
             return Verdict(False, "e")
     return Verdict(True)
 
@@ -346,11 +347,11 @@ def in_lattice_queens(v: SupportVector) -> bool:
 def check_lattice_semiqueens(v: SupportVector) -> Verdict:
     """Membership in the edge lattice of the semi-queens board: equal part
     sums and sum(i*vX)+sum(i*vY) = sum(i*vS) mod n."""
-    n = v.n
-    sx, sy, ss = (v.part_sum(p) for p in SEMI_PARTS)
-    if not (sx == sy == ss):
+    stats = v.part_stats()
+    x, y, s = (stats[p] for p in SEMI_PARTS)
+    if not (x.sum == y.sum == s.sum):
         return Verdict(False, "part-sums")
-    if (v.moment(Part.X, 1) + v.moment(Part.Y, 1) - v.moment(Part.S, 1)) % n != 0:
+    if (x.i_sum + y.i_sum - s.i_sum) % v.n != 0:
         return Verdict(False, "i-sum")
     return Verdict(True)
 

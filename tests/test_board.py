@@ -15,7 +15,6 @@ from torq.board import (
     _first_matching,
     attacks,
     centered,
-    centered_range,
     edge_at_centered,
     edge_of,
     placement_from_json,
@@ -29,16 +28,15 @@ from torq.solvers import count_toroidal, max_partial_toroidal
 
 class TestCentered:
     def test_odd_range(self):
-        assert centered_range(9) == (-4, 4)
         assert [centered(9, c) for c in range(9)] == [0, 1, 2, 3, 4, -4, -3, -2, -1]
 
     def test_even_range(self):
-        assert centered_range(8) == (-3, 4)
         assert [centered(8, c) for c in range(8)] == [0, 1, 2, 3, 4, -3, -2, -1]
 
     @given(st.integers(2, 40), st.integers(-100, 100))
     def test_centered_is_congruent_and_in_range(self, n, c):
-        lo, hi = centered_range(n)
+        lo, hi = min(centered(n, k) for k in range(n)), max(centered(n, k) for k in range(n))
+        assert (lo, hi) == (n // 2 - n + 1, n // 2)
         cc = centered(n, c)
         assert lo <= cc <= hi
         assert (cc - c) % n == 0
@@ -69,7 +67,7 @@ class TestEdges:
         if n % 2 == 0:
             n += 1
         e = Edge(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
-        lo, hi = centered_range(n)
+        lo, hi = min(centered(n, k) for k in range(n)), max(centered(n, k) for k in range(n))
         cx, cy = centered(n, e.x), centered(n, e.y)
         single = (lo <= cx + cy <= hi) != (lo <= cx - cy <= hi)
         assert ((centered(n, e.s(n)) - centered(n, e.d(n))) % 2 == 1) == single

@@ -5,6 +5,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torq.board import (
     Edge,
@@ -243,6 +244,27 @@ class TestZeroSumSupport:
             zero_sum_support(u)
         assert exc.value.condition == "parity-balance"
 
+    @settings(deadline=None)
+    @given(st.sampled_from([*range(1, 13), 31, 32]), st.data())
+    def test_balance_matches_brute_force(self, n, data):
+        items = data.draw(st.lists(
+            st.tuples(st.sampled_from((Part.S, Part.D)), st.integers(0, n - 1),
+                      st.integers(-2, 2)),
+            max_size=8,
+        ))
+        u = sv(n, items)
+        # Per centered parity class, the S weight minus the D weight.
+        gap = {0: 0, 1: 0}
+        for p, c, w in items:
+            gap[centered(n, c) % 2] += w if p is Part.S else -w
+        if any(gap.values()):
+            with pytest.raises(PreconditionError) as exc:
+                zero_sum_support(u)
+            assert exc.value.condition == "parity-balance"
+        else:
+            cleared = u + shadow(zero_sum_support(u))
+            assert all(v.part in (Part.X, Part.Y) for v in cleared.support())
+
 
 class TestCoverLeave:
     def leave_from_matching(self, rng, n, k, r):
@@ -395,14 +417,16 @@ class TestCascade:
         assert exc.value.condition == "cascade-edge"
 
     def test_avoid_set_respected(self):
-        g = TorusGraph(101)
-        base = build_cascade(g, self.SEED, self.TARGETS)
+        # A vertex to avoid is a hole in the board.
+        base = build_cascade(TorusGraph(101), self.SEED, self.TARGETS)
         fixed = set(self.SEED.vertices(101))
         for t in self.TARGETS:
             fixed |= set(t.vertices(101))
-        poison = next(iter(base.vertices() - fixed))
-        cas = build_cascade(g, self.SEED, self.TARGETS, avoid=[poison])
-        assert poison not in cas.vertices() - fixed
+        for poison in sorted(base.vertices() - fixed)[:3]:
+            g = TorusGraph(101, removed=frozenset({poison}))
+            cas = build_cascade(g, self.SEED, self.TARGETS)
+            assert poison not in cas.vertices()
+            assert verify_matching(g, cas.m1).valid and verify_matching(g, cas.m2).valid
 
     def test_target_count_checked(self):
         with pytest.raises(PreconditionError) as exc:

@@ -67,6 +67,15 @@ class TestRunGreedy:
         g = TorusGraph(40)
         assert run_greedy(g, 1, 0.7, debug=True) == run_greedy(g, 1, 0.7)
 
+    def test_rejects_empty_board(self):
+        for n in (1, 2):
+            g = TorusGraph(n, removed=frozenset(Vertex(p, c) for p in Part for c in range(n)))
+            with pytest.raises(PreconditionError) as exc:
+                run_greedy(g, 0, 1.0)
+            assert exc.value.condition == "board"
+            # The empty matching is the one perfect matching left.
+            assert knuth_count_estimator(g, trials=3, seed=0) == 1.0
+
     def test_rejects_bad_stop_fraction(self):
         with pytest.raises(PreconditionError) as exc:
             run_greedy(TorusGraph(8), 0, 0.0)

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torq.board import Edge, Part, Vertex
+from torq.board import Edge, Part, Vertex, centered
 from torq.errors import PreconditionError
 from torq.lattice import (
     Generator,
@@ -68,13 +68,40 @@ class TestSupportVector:
     def test_restricted(self):
         v = sv(6, [(Part.S, 1, 4), (Part.D, 1, -2)])
         assert v.part_weights(Part.S) == {1: 4} and v.part_weights(Part.X) == {}
-        assert v.part_sum(Part.S) == 4 and v.part_sum(Part.D) == -2
+        stats = v.part_stats()
+        assert stats[Part.S].sum == 4 and stats[Part.D].sum == -2
 
     def test_moments_and_odd_sum(self):
-        v = sv(7, [(Part.S, 1, 2), (Part.S, 4, 3)])
-        assert v.moment(Part.S, 1) == 2 + 12
-        assert v.moment(Part.S, 2) == 2 + 48
-        assert v.odd_sum(Part.S) == 2
+        # At odd n the odd sum follows the centered coordinate: 4 is -3.
+        v = sv(7, [(Part.S, 1, 2), (Part.S, 4, 3), (Part.S, 2, 5)])
+        assert v.part_stats()[Part.S] == (10, 2 + 12 + 10, 2 + 48 + 20, 2 + 3)
+        assert v.part_stats()[Part.X] == (0, 0, 0, 0)
+        even = sv(8, [(Part.D, 5, 1), (Part.D, 6, 1)])
+        assert even.part_stats()[Part.D].odd_weight == 1
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([*range(1, 13), 31, 32]),
+        st.sampled_from(["queens", "semi"]),
+        st.data(),
+    )
+    def test_part_stats_matches_brute_force(self, n, kind, data):
+        parts = (Part.X, Part.Y, Part.S, Part.D)[: 4 if kind == "queens" else 3]
+        items = data.draw(st.lists(
+            st.tuples(st.sampled_from(parts), st.integers(0, n - 1), st.integers(-3, 3)),
+            max_size=12,
+        ))
+        v = sv(n, items, kind)
+        stats = v.part_stats()
+        assert set(stats) == set(Part)
+        for p in Part:
+            ws = [(c, w) for q, c, w in items if q is p]
+            assert stats[p] == (
+                sum(w for _, w in ws),
+                sum(c * w for c, w in ws),
+                sum(c * c * w for c, w in ws),
+                sum(w for c, w in ws if centered(n, c) % 2),
+            )
 
     def test_semi_kind_rejects_d(self):
         with pytest.raises(ValueError):
@@ -149,7 +176,7 @@ class TestShadows:
 
     def test_semi_shadow_has_no_d(self):
         v = edge_shadow(5, Edge(1, 2), kind="semi")
-        assert v.size() == 3 and v.part_sum(Part.D) == 0
+        assert v.size() == 3 and v.part_stats()[Part.D].sum == 0
 
 
 class TestQueensLattice:
@@ -204,6 +231,17 @@ class TestQueensLattice:
         verdict = check_lattice_queens(v)
         assert verdict.failed == "e"
         assert not hnf_oracle(8, "queens", v)
+
+    def test_semi_vector_reads_zero_on_d(self):
+        # A semi vector has no D part; the queens test reads its D sums as 0.
+        assert check_lattice_queens(SupportVector(1, kind="semi")).ok
+        for n, failed in ((6, "a"), (7, "i")):
+            ones = sv(n, [(p, c, 1) for p in (Part.X, Part.Y, Part.S) for c in range(n)], "semi")
+            assert check_lattice_queens(ones) == Verdict(False, failed)
+        # X, Y and S cancel in sums and moments, so only D is missing.
+        v = sv(5, [(Part.X, 1, 1), (Part.Y, 0, 1), (Part.S, 1, 1)], "semi")
+        assert check_lattice_semiqueens(v).ok
+        assert check_lattice_queens(v) == Verdict(False, "i")
 
 
 class TestSemiLattice:
