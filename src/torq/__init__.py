@@ -21,7 +21,6 @@ from .board import (
     Vertex,
     attacks,
     centered,
-    edge_of,
     square,
     verify_matching,
     whole_board,

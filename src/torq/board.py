@@ -5,8 +5,9 @@ hypergraph: parts X (rows), Y (columns), S (sum diagonals, X+Y) and
 D (difference diagonals, X-Y), each with n vertices indexed by residues
 mod n.  Placing a queen at (x, y) uses the edge
 (x, y, x+y mod n, x-y mod n).  The semi-queens variant drops the D part.
-Each edge has an int mask with one bit per vertex, and one depth-first
-search over such masks finds perfect matchings of punctured boards.
+No other module knows this geometry.  Edge masks, with bit
+vertex_index(n, v) for each vertex v, let one depth-first search find
+perfect matchings of punctured boards.
 
 Coordinates are stored as canonical residues 0..n-1; the "centered"
 representative (odd n: [-(n-1)/2, (n-1)/2], even n: [-n/2+1, n/2]) is a
@@ -36,8 +37,28 @@ PART_ORDER: tuple[Part, ...] = (Part.X, Part.Y, Part.S, Part.D)
 
 
 class BoardKind(str, Enum):
-    QUEENS_TOROIDAL = "queens-toroidal"
-    SEMIQUEENS_TOROIDAL = "semiqueens-toroidal"
+    """A board and its ``parts``, the first k of PART_ORDER."""
+
+    QUEENS_TOROIDAL = ("queens-toroidal", 4)
+    SEMIQUEENS_TOROIDAL = ("semiqueens-toroidal", 3)  # no D
+
+    def __new__(cls, value: str, k: int) -> "BoardKind":
+        kind = str.__new__(cls, value)
+        kind._value_ = value
+        kind.parts = PART_ORDER[:k]
+        return kind
+
+
+#: The board of each SupportVector kind.
+VECTOR_KINDS = {"queens": BoardKind.QUEENS_TOROIDAL, "semi": BoardKind.SEMIQUEENS_TOROIDAL}
+
+
+def vector_board(kind: object) -> BoardKind:
+    """The board of a vector kind, or PreconditionError naming kind."""
+    try:
+        return VECTOR_KINDS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON kind
+        raise PreconditionError("kind", "must be 'queens' or 'semi'") from None
 
 
 def check_side(n: int) -> None:
@@ -63,8 +84,11 @@ class Vertex:
     part: Part
     coord: int
 
-    def to_json(self) -> dict:
-        return {"part": self.part.value, "coord": self.coord}
+
+def vertex_index(n: int, v: Vertex) -> int:
+    """The one flat numbering of a board's vertices, part by part in
+    PART_ORDER: bit vertex_index(n, v) of an edge mask stands for v."""
+    return PART_ORDER.index(v.part) * n + v.coord
 
 
 @dataclass(frozen=True, order=True)
@@ -87,13 +111,6 @@ class Edge:
             Vertex(Part.S, self.s(n)),
             Vertex(Part.D, self.d(n)),
         )
-
-
-def edge_of(n: int, x: int, y: int) -> Edge:
-    """The unique edge dictated by row x and column y."""
-    if not (0 <= x < n and 0 <= y < n):
-        raise ValueError(f"edge coordinates out of range for n={n}: ({x}, {y})")
-    return Edge(x, y)
 
 
 def edge_at_centered(n: int, cx: int, cy: int) -> Edge:
@@ -134,21 +151,19 @@ class TorusGraph:
     n: int
     kind: BoardKind = BoardKind.QUEENS_TOROIDAL
     removed: frozenset[Vertex] = field(default_factory=frozenset)
+    _span: int = field(init=False, repr=False, compare=False)  # one bit per vertex
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, BoardKind):
             raise PreconditionError("kind", f"must be a BoardKind, got {self.kind!r}")
         check_side(self.n)
+        object.__setattr__(self, "_span", (1 << len(self.parts()) * self.n) - 1)
         for v in self.removed:
-            if v.part not in self.parts():
+            if v.part not in self.parts() or not 0 <= v.coord < self.n:
                 raise ValueError(f"removed vertex {v} not on this board")
-            if not (0 <= v.coord < self.n):
-                raise ValueError(f"removed vertex {v} out of range")
 
     def parts(self) -> tuple[Part, ...]:
-        if self.kind is BoardKind.SEMIQUEENS_TOROIDAL:
-            return (Part.X, Part.Y, Part.S)
-        return PART_ORDER
+        return self.kind.parts
 
     def vertices(self) -> Iterator[Vertex]:
         for part in self.parts():
@@ -160,26 +175,32 @@ class TorusGraph:
     def vertex_count(self) -> int:
         return self.n * len(self.parts()) - len(self.removed)
 
+    def matching_bound(self) -> int:
+        """The largest conceivable matching: the fewest live vertices in any part."""
+        return self.n - max(sum(v.part is p for v in self.removed) for p in self.parts())
+
     def edge_vertices(self, e: Edge) -> tuple[Vertex, ...]:
-        n = self.n
-        if self.kind is BoardKind.SEMIQUEENS_TOROIDAL:
-            return (Vertex(Part.X, e.x), Vertex(Part.Y, e.y), Vertex(Part.S, e.s(n)))
-        return e.vertices(n)
+        return e.vertices(self.n)[: len(self.parts())]
 
     def edge_mask(self, e: Edge) -> int:
-        """An int with bit i*n + c set for e's vertex (parts()[i], c) in
-        each part i: two edges of this board share a vertex exactly when
-        their masks share a bit."""
+        """An int with bit vertex_index(n, v) for each vertex v of e (a
+        board without D cuts that bit off): two edges of this board share
+        a vertex exactly when their masks share a bit."""
         n, x, y = self.n, e.x, e.y
-        mask = 1 << x | 1 << (n + y) | 1 << (2 * n + (x + y) % n)
-        if self.kind is BoardKind.QUEENS_TOROIDAL:
-            mask |= 1 << (3 * n + (x - y) % n)
-        return mask
+        mask = 1 << x | 1 << (n + y) | 1 << (2 * n + (x + y) % n) | 1 << (3 * n + (x - y) % n)
+        return mask & self._span
 
     def has_edge(self, e: Edge) -> bool:
         if not (0 <= e.x < self.n and 0 <= e.y < self.n):
             return False
         return not any(v in self.removed for v in self.edge_vertices(e))
+
+    def edges(self) -> list[Edge]:
+        """The live edges, in (x, y) order."""
+        n = self.n
+        dead = sum(1 << vertex_index(n, v) for v in self.removed)
+        every = (Edge(x, y) for x in range(n) for y in range(n))
+        return [e for e in every if not self.edge_mask(e) & dead]
 
 
 def attacks(n: int, mode: str, q1: tuple[int, int], q2: tuple[int, int]) -> bool:
@@ -219,7 +240,6 @@ class MatchingReport:
     valid: bool
     perfect: bool
     offending_vertex: Vertex | None = None
-    uncovered: tuple[Vertex, ...] = ()
 
 
 def verify_matching(
@@ -235,8 +255,7 @@ def verify_matching(
                 return MatchingReport(False, False, offending_vertex=v)
             seen.add(v)
     if require_perfect:
-        uncovered = tuple(v for v in g.vertices() if v not in seen)
-        return MatchingReport(True, not uncovered, uncovered=uncovered)
+        return MatchingReport(True, all(v in seen for v in g.vertices()))
     return MatchingReport(True, False)
 
 

@@ -2,7 +2,7 @@
 
 Subcommands: count, lattice, decompose, zsc, greedy, extend, monsky.
 Results go to stdout as canonical JSON (or CSV for greedy traces), or
-to --out with the format chosen by the file extension.  Exit codes:
+as the same text to the file named by --out.  Exit codes:
 0 success, 2 invalid input, 3 capacity or timeout, 4 verification
 failure.  Every randomized command defaults to seed 0, never to wall
 clock, so identical invocations produce byte-identical output.
@@ -21,7 +21,7 @@ from random import Random
 import click
 
 from . import decomp, greedy, lattice, solvers
-from .board import Part, TorusGraph, check_side, dumps
+from .board import Part, TorusGraph, check_side, dumps, vector_board
 from .errors import CapacityError, PreconditionError, VerificationError
 
 SCHEMA = "torq/1"
@@ -105,9 +105,10 @@ def check(n: int, ones: bool, mode: str, oracle: bool, out: str | None) -> None:
     kind = "semi" if mode == "semi" else "queens"
     if ones:
         check_side(n)
-        v = lattice.sv(n, [(p, c, 1) for p in lattice.kind_parts(kind) for c in range(n)], kind)
+        v = lattice.sv(n, [(p, c, 1) for p in vector_board(kind).parts for c in range(n)], kind)
     else:
         v = _read_vector(n)
+        lattice.check_vector(v, n, kind)
     if mode == "queens":
         verdict = lattice.check_lattice_queens(v)
     elif mode == "semi":

@@ -34,7 +34,6 @@ from .board import (
     _first_matching,
     centered,
     edge_at_centered,
-    edge_of,
     square,
     verify_matching,
 )
@@ -88,19 +87,19 @@ class ZeroSumConfig:
     def positive_edges(self) -> tuple[Edge, ...]:
         n, a, b, c, s, d = self.n, self.a, self.b, self.c, self.s, self.d
         return (
-            edge_of(n, a, (b + s) % n),
-            edge_of(n, b, (d + s) % n),
-            edge_of(n, c, (a + s) % n),
-            edge_of(n, d, (c + s) % n),
+            Edge(a, (b + s) % n),
+            Edge(b, (d + s) % n),
+            Edge(c, (a + s) % n),
+            Edge(d, (c + s) % n),
         )
 
     def negative_edges(self) -> tuple[Edge, ...]:
         n, a, b, c, s, d = self.n, self.a, self.b, self.c, self.s, self.d
         return (
-            edge_of(n, a, (c + s) % n),
-            edge_of(n, b, (a + s) % n),
-            edge_of(n, c, (d + s) % n),
-            edge_of(n, d, (b + s) % n),
+            Edge(a, (c + s) % n),
+            Edge(b, (a + s) % n),
+            Edge(c, (d + s) % n),
+            Edge(d, (b + s) % n),
         )
 
     def edge_set(self) -> SignedEdgeSet:

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .board import BoardKind, Edge, Matching, TorusGraph, centered
+from .board import BoardKind, Edge, Matching, Part, TorusGraph, centered
 from .errors import PreconditionError, VerificationError
 
 
@@ -195,10 +195,10 @@ def run_greedy(
 
     Selects a uniformly random remaining edge, appends it to the
     matching, deletes its vertices and all incident edges, and repeats
-    until ceil(stop_fraction * m_max) edges are placed (m_max being the
-    largest conceivable matching size) or no edges remain.  The trace
-    records a StepRecord for every prefix, including the empty one.
-    Deterministic for fixed (g, seed, stop_fraction).  Memory is O(n).
+    until ceil(stop_fraction * g.matching_bound()) edges are placed or
+    no edges remain.  The trace records a StepRecord for every prefix,
+    including the empty one.  Deterministic for fixed (g, seed,
+    stop_fraction).  Memory is O(n).
 
     With debug=True the incrementally maintained degrees are rebuilt
     from the vertex-alive masks every 256 steps and after the last one,
@@ -225,8 +225,7 @@ def run_greedy(
     if track_parity:  # rows 2 and 3 are S and D
         disparity = int(par[alive[2]].sum()) - int(par[alive[3]].sum())
 
-    m_max = int(alive.sum(axis=1).min())
-    m_target = math.ceil(stop_fraction * m_max)
+    m_target = math.ceil(stop_fraction * g.matching_bound())
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
@@ -331,10 +330,8 @@ def knuth_count_estimator(g: TorusGraph, trials: int, seed: int = 0) -> float:
     from one stream, SeedSequence(seed).
     """
     _check_seed(seed)
-    n = g.n
-    edges = (Edge(x, y) for x in range(n) for y in range(n))
-    masks = [g.edge_mask(e) for e in edges if g.has_edge(e)]
-    m_max = n - max(sum(1 for v in g.removed if v.part is part) for part in g.parts())
+    masks = [g.edge_mask(e) for e in g.edges()]
+    m_max = g.matching_bound()
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     total = 0
@@ -363,7 +360,7 @@ def parity_track(trace: GreedyTrace) -> tuple[int, ...]:
     """
     if trace.n % 2 == 0:
         raise PreconditionError("odd-n", "parity tracking requires odd n")
-    if trace.kind is not BoardKind.QUEENS_TOROIDAL:
+    if Part.D not in trace.kind.parts:
         raise PreconditionError("kind", "parity tracking requires the D part")
     n = trace.n
     out: list[int] = []

@@ -21,23 +21,14 @@ congruence tests at small n.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .board import Edge, Part, PART_ORDER, Vertex, _json_int, centered
+from .board import (
+    Edge, Part, PART_ORDER, TorusGraph, Vertex, _json_int, centered, vector_board, vertex_index
+)
 from .errors import PreconditionError
-
-QUEENS_PARTS = PART_ORDER
-SEMI_PARTS = (Part.X, Part.Y, Part.S)
-_KIND_PARTS = {"queens": QUEENS_PARTS, "semi": SEMI_PARTS}
-
-
-def kind_parts(kind: object) -> tuple[Part, ...]:
-    """The parts of a vector kind: "queens" has four, "semi" has no D."""
-    try:
-        return _KIND_PARTS[kind]
-    except (KeyError, TypeError):  # TypeError: an unhashable JSON kind
-        raise PreconditionError("kind", "must be 'queens' or 'semi'") from None
 
 
 class PartStats(NamedTuple):
@@ -117,8 +108,9 @@ class _Counter:
 class SupportVector(_Counter):
     """Integer weights on the vertices of a board of side n.
 
-    kind is "queens" (4 parts) or "semi" (3 parts, no D); any other
-    kind raises PreconditionError("kind").  Zero weights are never stored.
+    kind is "queens" (4 parts) or "semi" (3 parts, no D), the parts of
+    its board in torq.board.VECTOR_KINDS; any other kind raises
+    PreconditionError("kind").  Zero weights are never stored.
     """
 
     n: int
@@ -127,7 +119,7 @@ class SupportVector(_Counter):
     _parts: tuple[Part, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_parts", kind_parts(self.kind))
+        object.__setattr__(self, "_parts", vector_board(self.kind).parts)
         super().__post_init__()
 
     def _check(self, v: Vertex) -> None:
@@ -139,12 +131,8 @@ class SupportVector(_Counter):
 
     def add_edge(self, e: Edge, m: int = 1) -> None:
         """Add m times the shadow of e for this vector's kind."""
-        n = self.n
-        self.add(Vertex(Part.X, e.x), m)
-        self.add(Vertex(Part.Y, e.y), m)
-        self.add(Vertex(Part.S, e.s(n)), m)
-        if self.kind == "queens":
-            self.add(Vertex(Part.D, e.d(n)), m)
+        for v in e.vertices(self.n)[: len(self._parts)]:
+            self.add(v, m)
 
     def weight(self, v: Vertex) -> int:
         return self.entries.get(v, 0)
@@ -197,6 +185,16 @@ class SupportVector(_Counter):
             return Vertex(_PARTS[part], _json_int(ent, "coord", i))
 
         return _from_json(obj, empty, key, "weight")
+
+
+def check_vector(v: SupportVector, n: int, kind: str) -> None:
+    """Reject a vector of another kind or side than the test it is
+    given to, with a PreconditionError naming kind or n."""
+    vector_board(kind)
+    if v.kind != kind:
+        raise PreconditionError("kind", f"the vector has kind {v.kind!r}, not {kind!r}")
+    if v.n != n:
+        raise PreconditionError("n", f"the vector has n={v.n}, not {n}")
 
 
 def sv(n: int, items: Iterable[tuple[Part, int, int]], kind: str = "queens") -> SupportVector:
@@ -320,7 +318,7 @@ def check_lattice_queens(v: SupportVector) -> Verdict:
     """
     n = v.n
     stats = v.part_stats()
-    x, y, s, d = (stats[p] for p in QUEENS_PARTS)
+    x, y, s, d = (stats[p] for p in PART_ORDER)
     odd = n % 2 == 1
     if not (x.sum == y.sum == s.sum == d.sum):
         return Verdict(False, "i" if odd else "a")
@@ -348,7 +346,7 @@ def check_lattice_semiqueens(v: SupportVector) -> Verdict:
     """Membership in the edge lattice of the semi-queens board: equal part
     sums and sum(i*vX)+sum(i*vY) = sum(i*vS) mod n."""
     stats = v.part_stats()
-    x, y, s = (stats[p] for p in SEMI_PARTS)
+    x, y, s = (stats[p] for p in vector_board("semi").parts)
     if not (x.sum == y.sum == s.sum):
         return Verdict(False, "part-sums")
     if (x.i_sum + y.i_sum - s.i_sum) % v.n != 0:
@@ -453,8 +451,7 @@ class _EchelonLattice:
     insertion eliminates against existing pivots using extended gcd.
     """
 
-    def __init__(self, dim: int) -> None:
-        self.dim = dim
+    def __init__(self) -> None:
         self.rows: dict[int, dict[int, int]] = {}  # pivot column -> row
 
     @staticmethod
@@ -527,32 +524,21 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _vertex_index(n: int, kind: str, v: Vertex) -> int:
-    return kind_parts(kind).index(v.part) * n + v.coord
-
-
-_lattice_cache: dict[tuple[int, str], _EchelonLattice] = {}
-
-
+@functools.cache
 def _edge_lattice(n: int, kind: str) -> _EchelonLattice:
-    key = (n, kind)
-    if key not in _lattice_cache:
-        lat = _EchelonLattice(len(kind_parts(kind)) * n)
-        for x in range(n):
-            for y in range(n):
-                shade = edge_shadow(n, Edge(x, y), kind)
-                lat.add(
-                    {_vertex_index(n, kind, v): w for v, w in shade.entries.items()}
-                )
-        _lattice_cache[key] = lat
-    return _lattice_cache[key]
+    g = TorusGraph(n, vector_board(kind))
+    lat = _EchelonLattice()
+    for e in g.edges():
+        lat.add({vertex_index(n, v): 1 for v in g.edge_vertices(e)})
+    return lat
 
 
 def hnf_oracle(n: int, kind: str, v: SupportVector) -> bool:
     """Membership of v in the integer span of edge shadows, decided by
-    exact integer elimination (independent of the congruence tests)."""
+    exact integer elimination (independent of the congruence tests).
+    v must be a vector of this kind and side n."""
     if n > HNF_MAX_N:
         raise PreconditionError("n", f"hnf_oracle supports n <= {HNF_MAX_N}")
-    kind_parts(kind)  # names a bad kind before the cache lookup
+    check_vector(v, n, kind)
     lat = _edge_lattice(n, kind)
-    return lat.contains({_vertex_index(n, kind, u): w for u, w in v.entries.items()})
+    return lat.contains({vertex_index(n, u): w for u, w in v.entries.items()})

@@ -24,7 +24,6 @@ from random import Random
 from typing import Iterator
 
 from .board import (
-    Edge,
     Matching,
     Part,
     TorusGraph,
@@ -503,8 +502,7 @@ def extend_classical(
     tstar = TorusGraph(n, removed=w.removed_vertices)
     rows = [r for r in range(n) if Vertex(Part.X, r) not in tstar.removed]
     cols = [c for c in range(n) if Vertex(Part.Y, c) not in tstar.removed]
-    edges = (Edge(r, c) for r in rows for c in cols)
-    squares = {(e.x, e.y): (e, tstar.edge_mask(e)) for e in edges if tstar.has_edge(e)}
+    squares = {(e.x, e.y): (e, tstar.edge_mask(e)) for e in tstar.edges()}
     deadline = time.monotonic() + budget_seconds
 
     for restart in range(max_restarts):

@@ -3,9 +3,10 @@
 import time
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torq.board import (
+    VECTOR_KINDS,
     BoardKind,
     Edge,
     Matching,
@@ -16,13 +17,14 @@ from torq.board import (
     attacks,
     centered,
     edge_at_centered,
-    edge_of,
     placement_from_json,
     placement_to_json,
     square,
     verify_matching,
+    vertex_index,
 )
 from torq.errors import PreconditionError
+from torq.lattice import edge_shadow
 from torq.solvers import count_toroidal, max_partial_toroidal
 
 
@@ -44,17 +46,13 @@ class TestCentered:
 
 class TestEdges:
     def test_vertices(self):
-        e = edge_of(7, 2, 6)
+        e = Edge(2, 6)
         assert e.vertices(7) == (
             Vertex(Part.X, 2),
             Vertex(Part.Y, 6),
             Vertex(Part.S, 1),
             Vertex(Part.D, 3),
         )
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            edge_of(5, 5, 0)
 
     def test_centered_constructor(self):
         assert edge_at_centered(7, -1, -2) == Edge(6, 5)
@@ -144,6 +142,34 @@ class TestEdgeMask:
         for i in range(len(edges)):
             for j in range(i + 1, len(edges)):
                 assert bool(masks[i] & masks[j]) == bool(verts[i] & verts[j])
+
+
+@st.composite
+def boards(draw):
+    """A board of either kind, side 1..13 (odd and even, every n mod 6),
+    with a random set of removed vertices."""
+    n, kind = draw(st.integers(1, 13)), draw(st.sampled_from(list(BoardKind)))
+    vertex = st.builds(Vertex, st.sampled_from(kind.parts), st.integers(0, n - 1))
+    return TorusGraph(n, kind, frozenset(draw(st.sets(vertex, max_size=2 * n))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(boards())
+def test_board_model_agrees_with_its_vertices(g):
+    """Edge masks, shadows, live edges and the matching bound all follow
+    from the parts table and edge_vertices."""
+    n = g.n
+    vector_kind = {board: k for k, board in VECTOR_KINDS.items()}[g.kind]
+    every = [Edge(x, y) for x in range(n) for y in range(n)]
+    assert g.edges() == [e for e in every if g.has_edge(e)]
+    for e in g.edges():
+        vs = g.edge_vertices(e)
+        assert [v.part for v in vs] == list(g.parts())
+        bits = {vertex_index(n, v) for v in vs}
+        assert g.edge_mask(e) == sum(1 << b for b in bits)
+        assert edge_shadow(n, e, vector_kind).entries == {v: 1 for v in vs}
+    live = [sum(v.part is p for v in g.vertices()) for p in g.parts()]
+    assert g.matching_bound() == min(live)
 
 
 class TestFirstMatching:

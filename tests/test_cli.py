@@ -9,10 +9,12 @@ import subprocess
 import sys
 from unittest import mock
 
+import click
 from hypothesis import example, given, settings, strategies as st
 
-from torq.board import edge_at_centered
-from torq.cli import main
+from torq.board import Part, edge_at_centered
+from torq.cli import cli, main
+from torq.errors import CapacityError, PreconditionError
 from torq.lattice import Generator, SignedEdgeSet, edge_shadow, expand, shadow, sv
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -88,6 +90,18 @@ class TestLatticeCheck:
         v = sv(5, [])
         res = run_cli("lattice", "check", "--n", "7", stdin=json.dumps(v.to_json()))
         assert res.returncode == 2
+
+    def test_vector_of_another_kind_names_the_kind(self):
+        # The test must not drop a part it lacks (D under --mode semi),
+        # and the oracle path must name the field too.
+        queens = {"n": 5, "kind": "queens", "entries": [{"part": "D", "coord": 0, "weight": 1}]}
+        semi = sv(5, [(Part.X, 0, 1)], "semi").to_json()
+        for mode, vector in (("semi", queens), ("queens", semi), ("sublattice-s", semi)):
+            for oracle in ((), ("--oracle",)):
+                res = run_cli("lattice", "check", "--n", "5", "--mode", mode, *oracle,
+                              stdin=json.dumps(vector))
+                assert res.returncode == 2 and res.stdout == "", (mode, oracle, res.stderr)
+                assert res.stderr.startswith("error: kind: "), (mode, oracle, res.stderr)
 
 
 class TestDecompose:
@@ -381,13 +395,22 @@ COMMANDS = [
 @given(JSON_VALUES | vectors(), st.integers(-3, 13), st.sampled_from(COMMANDS))
 @example({"n": 31, "kind": "semi", "entries": []}, 31, ("decompose",))
 @example({}, 13, ("lattice", "check", "--ones", "--mode", "sublattice-s", "--oracle"))
+@example({"n": 5, "kind": "queens", "entries": [{"part": "D", "coord": 0, "weight": 1}]},
+         5, ("lattice", "check", "--mode", "semi", "--oracle"))
 def test_stdin_input_never_crashes(obj, n, command):
     """Any JSON on stdin ends in success, invalid input or a capacity
-    limit: never a traceback or a verification failure."""
+    limit: never a traceback or a verification failure.  Invalid input
+    is a PreconditionError, which names its field, or a click usage
+    error, never a bare ValueError."""
     if isinstance(obj, dict) and type(obj.get("n")) is int:
         n = obj["n"]
+    args = [*command, "--n", str(n)]
     out, err = io.StringIO(), io.StringIO()
     with (mock.patch("sys.stdin", io.StringIO(json.dumps(obj))),
           contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
-        code = main([*command, "--n", str(n)])
-    assert code in (0, 2, 3), (code, err.getvalue())
+        try:
+            cli.main(args=args, standalone_mode=False)
+        except PreconditionError as ex:
+            assert ex.condition, args
+        except (click.UsageError, CapacityError):
+            pass

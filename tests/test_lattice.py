@@ -244,6 +244,15 @@ class TestQueensLattice:
         assert check_lattice_queens(v) == Verdict(False, "i")
 
 
+class TestOracle:
+    def test_rejects_a_vector_of_another_kind_or_side(self):
+        queens = sv(5, [(Part.D, 0, 1)])
+        for kind, v, field in (("semi", queens, "kind"), ("queens", sv(7, []), "n")):
+            with pytest.raises(PreconditionError) as exc:
+                hnf_oracle(5, kind, v)
+            assert exc.value.condition == field
+
+
 class TestSemiLattice:
     def test_agrees_with_oracle(self):
         rng = random.Random(3)
