@@ -6,8 +6,9 @@ D (difference diagonals, X-Y), each with n vertices indexed by residues
 mod n.  Placing a queen at (x, y) uses the edge
 (x, y, x+y mod n, x-y mod n).  The semi-queens variant drops the D part.
 No other module knows this geometry.  Edge masks, with bit
-vertex_index(n, v) for each vertex v, let one depth-first search find
-perfect matchings of punctured boards.
+vertex_index(n, v) for each vertex v, test vertex overlap with one AND
+in the perfect-matching search and in torq.decomp's link searches;
+verification compares Vertex sets instead.
 
 Coordinates are stored as canonical residues 0..n-1; the "centered"
 representative (odd n: [-(n-1)/2, (n-1)/2], even n: [-n/2+1, n/2]) is a
@@ -190,10 +191,12 @@ class TorusGraph:
         mask = 1 << x | 1 << (n + y) | 1 << (2 * n + (x + y) % n) | 1 << (3 * n + (x - y) % n)
         return mask & self._span
 
+    def has_vertex(self, v: Vertex) -> bool:
+        """Whether v, of one of this board's parts, is in range and not removed."""
+        return 0 <= v.coord < self.n and v not in self.removed
+
     def has_edge(self, e: Edge) -> bool:
-        if not (0 <= e.x < self.n and 0 <= e.y < self.n):
-            return False
-        return not any(v in self.removed for v in self.edge_vertices(e))
+        return all(self.has_vertex(v) for v in self.edge_vertices(e))
 
     def edges(self) -> list[Edge]:
         """The live edges, in (x, y) order."""
@@ -245,11 +248,14 @@ class MatchingReport:
 def verify_matching(
     g: TorusGraph, m: Matching | Sequence[Edge], require_perfect: bool = False
 ) -> MatchingReport:
-    """Check pairwise disjointness and optionally perfection on g."""
+    """Check pairwise disjointness and optionally perfection on g.  For an
+    edge not on g, the offending vertex is its first vertex, in part order,
+    that is removed or has a coordinate outside 0..n-1."""
     seen: set[Vertex] = set()
     for e in m:
-        if not g.has_edge(e):
-            return MatchingReport(False, False, offending_vertex=Vertex(Part.X, e.x))
+        dead = next((v for v in g.edge_vertices(e) if not g.has_vertex(v)), None)
+        if dead is not None:
+            return MatchingReport(False, False, offending_vertex=dead)
         for v in g.edge_vertices(e):
             if v in seen:
                 return MatchingReport(False, False, offending_vertex=v)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .board import (
     Edge,
@@ -36,6 +36,7 @@ from .board import (
     edge_at_centered,
     square,
     verify_matching,
+    vertex_index,
 )
 from .errors import CapacityError, PreconditionError, VerificationError
 from .lattice import (
@@ -45,21 +46,6 @@ from .lattice import (
     check_sublattice_S,
     shadow,
 )
-
-__all__ = [
-    "ZeroSumConfig",
-    "Cascade",
-    "DecompositionResult",
-    "make_config",
-    "bidc_reduce",
-    "bidc_size_bound",
-    "decompose_bounded",
-    "push_down",
-    "zero_sum_support",
-    "cover_leave",
-    "to_matching_pair",
-    "build_cascade",
-]
 
 
 # --- zero-sum configurations -------------------------------------------
@@ -188,7 +174,7 @@ def _q_step_edges(n: int, a: int, b: int, c: int, s: int) -> list[tuple[int, int
     row, column and difference parts and equals
     ``SQ(a,b,c) - SQ(a+s,b,c)`` on the sum part.
     """
-    if s % 2 == 1 and n % 2 == 0 and (b + c) % 2 == 0:
+    if not _q_step_realizable(n, b, c, s):
         raise PreconditionError(
             "q-step-parity",
             f"Q step (a={a}, b={b}, c={c}, s={s}) has no edge realization at even n={n}",
@@ -786,14 +772,24 @@ def _spiral(n: int) -> Iterator[int]:
             yield (n - k) % n
 
 
+def _mask(board: TorusGraph, edges: Iterable[Edge]) -> int:
+    """The OR of the edges' masks on board: the vertices they cover."""
+    out = 0
+    for e in edges:
+        out |= board.edge_mask(e)
+    return out
+
+
 def _links(
-    n: int, v: Vertex, e_pos: Edge, e_neg: Edge
-) -> Iterator[tuple[ZeroSumConfig, set[Vertex]] | None]:
+    board: TorusGraph, v: Vertex, e_pos: Edge, e_neg: Edge
+) -> Iterator[tuple[ZeroSumConfig, int] | None]:
     """For each free parameter q in :func:`_spiral` order, the zero-sum
     configuration joined at ``v`` that holds ``e_pos`` with multiplicity
-    +1 and ``e_neg`` with -1, with its nine fresh vertices (those not on
-    either edge); None when q gives no admissible configuration."""
-    keep = set(e_pos.vertices(n)) | set(e_neg.vertices(n))
+    +1 and ``e_neg`` with -1, with the mask on the queens ``board`` of its
+    nine fresh vertices (those not on either edge); None when q gives no
+    admissible configuration."""
+    n = board.n
+    keep = board.edge_mask(e_pos) | board.edge_mask(e_neg)
     for q in _spiral(n):
         if v.part is Part.X:
             z = make_config(n, v.coord, (e_pos.y - q) % n, (e_neg.y - q) % n, q)
@@ -803,13 +799,13 @@ def _links(
             z = make_config(n, e_pos.x, e_neg.x, q, (e_neg.y - e_pos.x) % n)
         else:
             z = make_config(n, e_pos.x, (e_pos.y - q) % n, e_neg.x, q)
-        vs = z.vertices()
-        fresh = vs - keep
+        vs = _mask(board, z.positive_edges())
+        fresh = vs & ~keep
         # With sixteen distinct vertices the two sides share no edge, so
         # an edge's side is its multiplicity in z.edge_set().
         admissible = (
-            len(vs) == 16
-            and len(fresh) == 9
+            vs.bit_count() == 16
+            and fresh.bit_count() == 9
             and e_pos in z.positive_edges()
             and e_neg in z.negative_edges()
         )
@@ -832,17 +828,19 @@ def _matching_pair(g: TorusGraph, phi: SignedEdgeSet, what: str) -> tuple[Matchi
     return pair
 
 
-def to_matching_pair(
-    phi: SignedEdgeSet, region: Interval
-) -> tuple[Matching, Matching]:
+def to_matching_pair(phi: SignedEdgeSet, region: Interval) -> tuple[Matching, Matching]:
     """Rewrite a signed edge set with a 0/±1 shadow into two matchings.
 
     Replaces opposite-sign edge pairs through over-covered vertices by
     zero-sum configurations whose fresh vertices lie inside ``region``
     and are currently uncovered; terminates because each replacement
-    strictly reduces the same-sign over-coverage.
+    strictly reduces the same-sign over-coverage.  CapacityError names
+    which budget ran out: the step cap or the 200,000-configuration scan.
     """
     n = phi.n
+    board = TorusGraph(n)
+    row = sum(1 << c for c in range(n) if region.contains(n, Vertex(Part.X, c)))
+    inside = sum(row << i * n for i in range(len(PART_ORDER)))  # row in every part
     sh = shadow(phi)
     if any(abs(w) > 1 for w in sh.entries.values()):
         raise PreconditionError("shadow-weights", "shadow weights must lie in {-1, 0, 1}")
@@ -858,18 +856,16 @@ def to_matching_pair(
         edges = {e: sign * m for e, m in work.entries.items() if sign * m > 0}
         return shadow(SignedEdgeSet(n, edges)).entries
 
-    def links_at(v: Vertex) -> Iterator[tuple[ZeroSumConfig, set[Vertex]] | None]:
+    def links_at(v: Vertex) -> Iterator[tuple[ZeroSumConfig, int] | None]:
         """For each positive edge e+ and negative edge e- of work through v,
         the links holding e- at +1 and e+ at -1, which cancel both."""
         epos = sorted(e for e, m in work.entries.items() if m > 0 and v in e.vertices(n))
         eneg = sorted(e for e, m in work.entries.items() if m < 0 and v in e.vertices(n))
         if not epos or not eneg:
-            raise VerificationError(
-                f"over-covered vertex {v} lacks an opposite-sign edge"
-            )
+            raise VerificationError(f"over-covered vertex {v} lacks an opposite-sign edge")
         for e_plus in epos:
             for e_minus in eneg:
-                yield from _links(n, v, e_minus, e_plus)
+                yield from _links(board, v, e_minus, e_plus)
 
     while True:
         pos, neg = cover(1), cover(-1)
@@ -885,7 +881,7 @@ def to_matching_pair(
                 "rewriting did not converge within its step budget",
                 blocking=conflicts[0],
             )
-        covered = set(pos) | set(neg)
+        covered = _mask(board, work.entries)
 
         # Take the first configuration whose fresh vertices lie in region
         # and are all uncovered, else the first with the fewest collisions
@@ -896,14 +892,12 @@ def to_matching_pair(
             scan_budget -= 1
             if scan_budget < 0:
                 raise CapacityError(
-                    "rewriting did not converge within its step budget", blocking=v
+                    "rewriting ran out of its 200,000-configuration scan budget", blocking=v
                 )
-            if link is None:
+            if link is None or link[1] & ~inside:
                 continue
             z, fresh = link
-            if any(not region.contains(n, f) for f in fresh):
-                continue
-            collisions = sum(f in covered for f in fresh)
+            collisions = (fresh & covered).bit_count()
             if best is None or collisions < best[0]:
                 best = (collisions, z)
                 if collisions == 0:
@@ -919,7 +913,7 @@ def to_matching_pair(
         raise VerificationError("rewriting finished with a multi-edge")
     if shadow(work) != sh:
         raise VerificationError("rewriting changed the shadow")
-    return _matching_pair(TorusGraph(n), work, "rewriting")
+    return _matching_pair(board, work, "rewriting")
 
 
 # --- cascades -----------------------------------------------------------
@@ -971,44 +965,32 @@ def build_cascade(g: TorusGraph, e: Edge, targets: Sequence[Edge]) -> Cascade:
     for edge in (e, *targets):
         if not g.has_edge(edge):
             raise PreconditionError("cascade-edge", f"{edge} is not an edge of the board")
+    # Vertex sets are masks on the queens board, whatever the kind of g.
+    board = TorusGraph(n)
     seed_vs = e.vertices(n)
-    seed_all: set[Vertex] = set(seed_vs)
+    seed_mask = used = board.edge_mask(e)
     for i, (t_edge, v_shared) in enumerate(zip(targets, seed_vs)):
-        tvs = set(t_edge.vertices(n))
-        if v_shared not in tvs:
+        t_mask, shared = board.edge_mask(t_edge), 1 << vertex_index(n, v_shared)
+        if t_mask & seed_mask != shared:
             raise PreconditionError(
-                "cascade-intersection", f"target {i} misses the seed's {v_shared.part.value} vertex"
+                "cascade-intersection",
+                f"target {i} does not meet the seed in its {v_shared.part.value} vertex alone",
             )
-        if len(tvs & set(seed_vs)) != 1:
-            raise PreconditionError(
-                "cascade-intersection", f"target {i} meets the seed in more than one vertex"
-            )
-        overlap = tvs & seed_all
-        if overlap - {v_shared}:
+        if t_mask & used != shared:
             raise PreconditionError("cascade-overlap", f"target {i} reuses earlier vertices")
-        seed_all |= tvs
-    if len(seed_all) != 16:
-        raise PreconditionError("cascade-overlap", "seed vertices are not sixteen distinct")
-    used = seed_all | g.removed
+        used |= t_mask
+    used |= sum(1 << vertex_index(n, v) for v in g.removed)
 
     # Primary configuration: contains the seed edge positively, avoids
     # every other used vertex; two free parameters.
-    primary = None
-    for s in _spiral(n):
-        for c in _spiral(n):
-            z = make_config(n, e.x, (e.y - s) % n, c, s)
-            if not z.valid:
-                continue
-            fresh = z.vertices() - set(seed_vs)
-            if len(fresh) != 12 or any(f in used for f in fresh):
-                continue
-            primary = z
+    configs = (make_config(n, e.x, (e.y - s) % n, c, s) for s in _spiral(n) for c in _spiral(n))
+    for primary in configs:
+        vs = _mask(board, primary.positive_edges())
+        if vs.bit_count() == 16 and not vs & ~seed_mask & used:
             break
-        if primary is not None:
-            break
-    if primary is None:
+    else:
         raise CapacityError("no admissible primary configuration for the cascade seed")
-    used |= primary.vertices()
+    used |= vs
 
     # Spoke i is the primary's negative edge through the seed's i-th vertex.
     spokes = [
@@ -1017,14 +999,17 @@ def build_cascade(g: TorusGraph, e: Edge, targets: Sequence[Edge]) -> Cascade:
 
     links: list[ZeroSumConfig] = []
     for i, (spoke, t_edge, v_shared) in enumerate(zip(spokes, targets, seed_vs)):
-        links_here = filter(None, _links(n, v_shared, spoke, t_edge))
-        pick = next((z for z, fresh in links_here if used.isdisjoint(fresh)), None)
-        if pick is None:
+        for z, fresh in filter(None, _links(board, v_shared, spoke, t_edge)):
+            if not fresh & used:
+                break
+        else:
             raise CapacityError(
                 f"no admissible link configuration at target {i}", blocking=t_edge
             )
-        used |= pick.vertices()
-        links.append(pick)
+        # The link's other seven vertices, on the spoke and the target,
+        # are used already.
+        used |= fresh
+        links.append(z)
 
     total = SignedEdgeSet(n)
     for z in [primary, *links]:

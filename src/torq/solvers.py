@@ -130,15 +130,14 @@ def monsky_value(n: int) -> int:
 def max_partial_toroidal(n: int, bound: int | None = None) -> int:
     """Maximum matching size in T(n), by branch and bound.
 
-    Feasibility of each target size m is tested in descending order with
-    a skip budget of n - m rows.  The torus translation group acts on
-    partial solutions, so any nonempty solution can be normalized to
-    contain a queen at (0, 0); fixing that queen prunes the search by a
-    factor of n^2 without losing feasibility.
+    Feasibility of each target size m is tested in descending order.  For
+    m < n some skipped row is followed by a filled row; translating the
+    rows makes them n - 1 and 0, and translating the columns puts row 0's
+    queen at column 0.  So the search fixes a queen at (0, 0) and fills
+    rows 1..n-2 with a budget of n - m - 1 skips, never reaching row
+    n - 1; for m = n the budget -1 acts as 0.
     """
     _check_n(n, bound, DEFAULT_PARTIAL_BOUND)
-    if n == 1:
-        return 1
     full = (1 << n) - 1
     top = n - 1
 
@@ -161,7 +160,7 @@ def max_partial_toroidal(n: int, bound: int | None = None) -> int:
 
         # Normalized: the queen at (0, 0) blocks row 1's column 0,
         # difference column 1 and sum column n - 1.
-        return rec(1, n - m, 1, 2, 1 << top)
+        return rec(1, n - m - 1, 1, 2, 1 << top)
 
     for m in range(n, 0, -1):
         if feasible(m):
@@ -435,14 +434,21 @@ def _verify_wset(w: WSet) -> None:
         raise VerificationError("W must remove 12 vertices in each part")
 
 
+def _punctured(n: int, w: WSet) -> TorusGraph:
+    """T(n) minus W, for a WSet built for this n."""
+    if n != w.n:
+        raise PreconditionError("n", f"the removed-vertex set is for n={w.n}, not n={n}")
+    return TorusGraph(n, removed=w.removed_vertices)
+
+
 def verify_tstar_lattice(n: int, w: WSet) -> Verdict:
     """Lattice membership of the all-ones target on T(n) minus W.
 
     Builds the vector with weight 1 on every vertex outside W and 0 on
     W, and runs the full queens-lattice membership test; a valid WSet
     must pass, which is what makes the all-ones target on the punctured
-    board reachable."""
-    tstar = TorusGraph(n, removed=w.removed_vertices)
+    board reachable.  PreconditionError("n") when w is for another n."""
+    tstar = _punctured(n, w)
     return check_lattice_queens(sv(n, [(v.part, v.coord, 1) for v in tstar.vertices()]))
 
 
@@ -496,10 +502,11 @@ def extend_classical(
     budget.  A found matching is combined with the 12 fixed queens and
     the result is fully verified before being returned: no classical
     attacks, and exactly six toroidal attack pairs, all among the fixed
-    queens.  Raises CapacityError when the budget is exhausted.
+    queens.  Raises CapacityError when the budget is exhausted, and
+    PreconditionError("n") when w is for another n.
     """
     _verify_wset(w)
-    tstar = TorusGraph(n, removed=w.removed_vertices)
+    tstar = _punctured(n, w)
     rows = [r for r in range(n) if Vertex(Part.X, r) not in tstar.removed]
     cols = [c for c in range(n) if Vertex(Part.Y, c) not in tstar.removed]
     squares = {(e.x, e.y): (e, tstar.edge_mask(e)) for e in tstar.edges()}

@@ -221,6 +221,15 @@ class TestMatching:
         assert not report.valid
         assert report.offending_vertex == Vertex(Part.S, 0)
 
+    def test_off_board_edge_names_its_dead_vertex(self):
+        g = TorusGraph(5, removed=frozenset({Vertex(Part.S, 0)}))
+        report = verify_matching(g, [Edge(0, 0)])  # X0 and Y0 are live
+        assert not report.valid
+        assert report.offending_vertex == Vertex(Part.S, 0)
+        report = verify_matching(TorusGraph(5), [Edge(7, 0)])
+        assert not report.valid
+        assert report.offending_vertex == Vertex(Part.X, 7)
+
     def test_perfect_solution(self):
         g = TorusGraph(5)
         m = Matching.of([Edge(i, (2 * i) % 5) for i in range(5)])

@@ -31,7 +31,7 @@ from torq.decomp import (
     to_matching_pair,
     zero_sum_support,
 )
-from torq.errors import PreconditionError
+from torq.errors import CapacityError, PreconditionError
 from torq.lattice import (
     Generator,
     SignedEdgeSet,
@@ -352,6 +352,16 @@ class TestToMatchingPair:
         assert shadow(SignedEdgeSet(n, acc)) == leave
         pair = {"positive": [[e.x, e.y] for e in m1], "negative": [[e.x, e.y] for e in m2]}
         assert dumps(pair) + "\n" == golden("congested_pair.json")
+
+    def test_tight_region_spends_the_scan_budget(self):
+        # Inside square(6) this cover's rewriting never converges: it
+        # picks 79 links, then runs out of scan budget.  The links it
+        # picks decide the vertex being scanned when the budget runs out.
+        n = 31
+        phi = cover_leave(edge_shadow(n, edge_at_centered(n, 3, 1)), 4).phi
+        with pytest.raises(CapacityError, match="scan budget") as exc:
+            to_matching_pair(phi, square(6))
+        assert exc.value.blocking == Vertex(Part.D, 27)
 
     def test_rejects_heavy_shadow(self):
         phi = SignedEdgeSet(33, {Edge(0, 0): 2})

@@ -168,6 +168,12 @@ class TestWSet:
         w = wset_from_tuples(n, EXTENDABLE_TUPLES[n])
         assert verify_tstar_lattice(n, w).ok
 
+    def test_tstar_lattice_rejects_other_n(self):
+        w = wset_from_tuples(30, EXTENDABLE_TUPLES[30])
+        with pytest.raises(PreconditionError) as exc:
+            verify_tstar_lattice(32, w)
+        assert exc.value.condition == "n"
+
     def test_corrupted_tuples_rejected(self):
         t = [list(oct) for oct in EXTENDABLE_TUPLES[30]]
         t[0][0] = t[1][0]  # break 24-distinctness
@@ -221,6 +227,12 @@ class TestExtendClassical:
         w = wset_from_tuples(n, EXTENDABLE_TUPLES[n])
         ext = extend_classical(n, w, seed=0)
         assert tuple((e.x, e.y) for e in ext.matching) == SEED0_MATCHINGS[n]
+
+    def test_rejects_wset_for_other_n(self):
+        w = wset_from_tuples(30, EXTENDABLE_TUPLES[30])
+        with pytest.raises(PreconditionError) as exc:
+            extend_classical(32, w, budget_seconds=600.0)
+        assert exc.value.condition == "n"
 
     def test_unmatchable_wset_reports_capacity(self):
         # The two lexicographically first removed-vertex sets at n=30
