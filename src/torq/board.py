@@ -5,10 +5,11 @@ hypergraph: parts X (rows), Y (columns), S (sum diagonals, X+Y) and
 D (difference diagonals, X-Y), each with n vertices indexed by residues
 mod n.  Placing a queen at (x, y) uses the edge
 (x, y, x+y mod n, x-y mod n).  The semi-queens variant drops the D part.
-No other module knows this geometry.  Edge masks, with bit
-vertex_index(n, v) for each vertex v, test vertex overlap with one AND
-in the perfect-matching search and in torq.decomp's link searches;
-verification compares Vertex sets instead.
+This module owns each board's parts, the one vertex numbering
+(vertex_index) and the edge masks built on it: bit vertex_index(n, v)
+for each vertex v, so vertex overlap is one AND, in the perfect-matching
+search and in torq.decomp's link searches; verification compares Vertex
+sets instead.
 
 Coordinates are stored as canonical residues 0..n-1; the "centered"
 representative (odd n: [-(n-1)/2, (n-1)/2], even n: [-n/2+1, n/2]) is a

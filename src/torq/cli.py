@@ -21,7 +21,7 @@ from random import Random
 import click
 
 from . import decomp, greedy, lattice, solvers
-from .board import Part, TorusGraph, check_side, dumps, vector_board
+from .board import Part, TorusGraph, check_side, dumps, square, vector_board
 from .errors import CapacityError, PreconditionError, VerificationError
 
 SCHEMA = "torq/1"
@@ -47,14 +47,14 @@ def _solver_bound() -> int | None:
         raise PreconditionError("TORQ_MAX_EXHAUSTIVE", f"must be an integer, got {raw!r}") from None
 
 
-def _read_vector(n: int) -> lattice.SupportVector:
+def _read_vector(n: int, kind: str = "queens") -> lattice.SupportVector:
+    """The support vector on stdin, which must have side n and this kind."""
     try:
         obj = json.load(sys.stdin)
     except json.JSONDecodeError as ex:
         raise PreconditionError("stdin", f"malformed JSON: {ex}") from ex
     v = lattice.SupportVector.from_json(obj)
-    if v.n != n:
-        raise PreconditionError("n", f"target has n={v.n}, flag says n={n}")
+    lattice.check_vector(v, n, kind)
     return v
 
 
@@ -107,8 +107,7 @@ def check(n: int, ones: bool, mode: str, oracle: bool, out: str | None) -> None:
         check_side(n)
         v = lattice.sv(n, [(p, c, 1) for p in vector_board(kind).parts for c in range(n)], kind)
     else:
-        v = _read_vector(n)
-        lattice.check_vector(v, n, kind)
+        v = _read_vector(n, kind)
     if mode == "queens":
         verdict = lattice.check_lattice_queens(v)
     elif mode == "semi":
@@ -164,8 +163,6 @@ def decompose(
     obj = result.to_json()
     obj["schema"] = SCHEMA
     if region is not None:
-        from .board import square
-
         pos, neg = decomp.to_matching_pair(result.phi, square(region))
         obj["matching_pair"] = {
             "positive": [[e.x, e.y] for e in pos],

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .board import (
@@ -33,6 +34,7 @@ from .board import (
     Vertex,
     _first_matching,
     centered,
+    check_side,
     edge_at_centered,
     square,
     verify_matching,
@@ -44,6 +46,7 @@ from .lattice import (
     SupportVector,
     check_lattice_queens,
     check_sublattice_S,
+    check_vector,
     shadow,
 )
 
@@ -119,8 +122,7 @@ class ZeroSumConfig:
 
 def make_config(n: int, a: int, b: int, c: int, s: int) -> ZeroSumConfig:
     """Build the zero-sum configuration with the given residue parameters."""
-    if n < 1:
-        raise PreconditionError("board-size", "n must be positive")
+    check_side(n)
     return ZeroSumConfig(n, a % n, b % n, c % n, s % n)
 
 
@@ -225,8 +227,9 @@ def _sq_step_decompose(n: int, weights: dict[int, int]) -> list[tuple[int, int, 
     return gens
 
 
-def _split_powers(n: int, g: int) -> list[int]:
-    """Binary expansion of a residue with every power at most n // 2."""
+def _split_powers(n: int, g: int) -> Iterator[tuple[int, int]]:
+    """Binary expansion of a residue with every power at most n // 2, as
+    (offset, power) pairs: each power with the sum of those before it."""
     parts: list[int] = []
     top = 1 << (g.bit_length() - 1)
     if top > n // 2:
@@ -236,7 +239,7 @@ def _split_powers(n: int, g: int) -> list[int]:
         p = 1 << (g.bit_length() - 1)
         parts.append(p)
         g -= p
-    return parts
+    return zip(accumulate(parts, initial=0), parts)
 
 
 class _BinaryReducer:
@@ -280,16 +283,12 @@ class _BinaryReducer:
             self.normalize(-w, a - (n - b), n - b, c)
             return
         if not self._is_small_power(b):
-            pos = 0
-            for p in _split_powers(n, b):
-                self.normalize(w, a + pos, p, c)
-                pos += p
+            for off, p in _split_powers(n, b):
+                self.normalize(w, a + off, p, c)
             return
         if not self._is_small_power(c):
-            pos = 0
-            for p in _split_powers(n, c):
-                self.normalize(w, a + pos, b, p)
-                pos += p
+            for off, p in _split_powers(n, c):
+                self.normalize(w, a + off, b, p)
             return
         x = b.bit_length() - 1
         y = c.bit_length() - 1
@@ -337,11 +336,10 @@ def bidc_reduce(v: SupportVector) -> DecompositionResult:
     sublattice conditions; the output boundary equals the input exactly
     and vanishes on the other three parts along the way.
     """
-    if v.kind != "queens":
-        raise PreconditionError("kind", f"needs a queens vector, got kind {v.kind!r}")
+    check_vector(v, v.n, "queens")
     n = v.n
     if n < 4:
-        raise PreconditionError("board-size", "reduction requires n >= 4")
+        raise PreconditionError("n", "reduction requires n >= 4")
     verdict = check_sublattice_S(v)
     if not verdict:
         raise PreconditionError(verdict.failed)
@@ -391,10 +389,8 @@ def bidc_reduce(v: SupportVector) -> DecompositionResult:
         red.classes[1] -= k
         # Fold the displaced step through an explicit binary chain so the
         # class second moment drops by exactly 2n per copy.
-        pos = 0
-        for p in _split_powers(n, (n - 2) % n):
-            red.normalize(-k, pos, 1, p)
-            pos += p
+        for off, p in _split_powers(n, (n - 2) % n):
+            red.normalize(-k, off, 1, p)
 
     # Binary carries: pairs of a base class fold into the next class.
     cap = (n // 2).bit_length() - 1
@@ -474,8 +470,7 @@ def decompose_bounded(target: SupportVector) -> DecompositionResult:
     difference part away through signed simple matrices, then reduce the
     remaining sum-part vector.
     """
-    if target.kind != "queens":
-        raise PreconditionError("kind", f"needs a queens vector, got kind {target.kind!r}")
+    check_vector(target, target.n, "queens")
     n = target.n
     verdict = check_lattice_queens(target)
     if not verdict:
@@ -656,16 +651,12 @@ def zero_sum_support(u: SupportVector) -> SignedEdgeSet:
     # the centered range; same-part pairs meet the other diagonal at p.
     phi = SignedEdgeSet(n)
     for p in (0, 1):
-        sp: list[int] = []
-        sm: list[int] = []
-        dp: list[int] = []
-        dm: list[int] = []
+        units = {(part, sign): [] for part in (Part.S, Part.D) for sign in (1, -1)}
         for v, w in sorted(u.entries.items()):
             c = centered(n, v.coord)
-            if v.part not in (Part.S, Part.D) or c % 2 != p:
-                continue
-            target = (sp if w > 0 else sm) if v.part is Part.S else (dp if w > 0 else dm)
-            target.extend([c] * abs(w))
+            if v.part in (Part.S, Part.D) and c % 2 == p:
+                units[v.part, 1 if w > 0 else -1].extend([c] * abs(w))
+        sp, sm, dp, dm = units.values()
         while sp and dp:
             phi.add(edge(sp.pop(), dp.pop()), -1)
         while sm and dm:
@@ -695,8 +686,7 @@ def cover_leave(leave: SupportVector, radius: int) -> DecompositionResult:
     interval of the given radius; (3) lattice membership; (4) balanced
     centered-parity counts between the two diagonal parts.
     """
-    if leave.kind != "queens":
-        raise PreconditionError("kind", f"needs a queens vector, got kind {leave.kind!r}")
+    check_vector(leave, leave.n, "queens")
     n = leave.n
     if any(w != 1 for w in leave.entries.values()):
         raise PreconditionError("qualifying-leave condition 1", "weights must be 0/1")
@@ -799,14 +789,15 @@ def _links(
             z = make_config(n, e_pos.x, e_neg.x, q, (e_neg.y - e_pos.x) % n)
         else:
             z = make_config(n, e_pos.x, (e_pos.y - q) % n, e_neg.x, q)
-        vs = _mask(board, z.positive_edges())
+        positive = z.positive_edges()
+        vs = _mask(board, positive)
         fresh = vs & ~keep
         # With sixteen distinct vertices the two sides share no edge, so
         # an edge's side is its multiplicity in z.edge_set().
         admissible = (
             vs.bit_count() == 16
             and fresh.bit_count() == 9
-            and e_pos in z.positive_edges()
+            and e_pos in positive
             and e_neg in z.negative_edges()
         )
         yield (z, fresh) if admissible else None

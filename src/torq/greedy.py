@@ -90,12 +90,6 @@ def _widening(p: float) -> float:
     return 2.0 * (1.0 - 4.0 * math.log(p)) if p > 0 else math.inf
 
 
-def _centered_parity(n: int) -> np.ndarray:
-    """parity[c] = centered(n, c) mod 2 for residues c in 0..n-1."""
-    c = np.arange(n)
-    return np.where(c > n // 2, c - n, c) % 2
-
-
 # Which view of the line's coordinates (see _LiveBoard.line) each part
 # takes on a line of part i, indexed like PART_ORDER; None marks part i.
 _T, _C_PLUS_T, _C_MINUS_T, _T_MINUS_C, _TWO_T_MINUS_C = range(5)
@@ -220,14 +214,14 @@ def run_greedy(
 
     v0 = g.vertex_count()
     track_parity = k == 4 and n % 2 == 1
-    par = _centered_parity(n)
+    par = np.array([centered(n, c) % 2 for c in range(n)])
     disparity = 0
     if track_parity:  # rows 2 and 3 are S and D
         disparity = int(par[alive[2]].sum()) - int(par[alive[3]].sum())
 
     m_target = math.ceil(stop_fraction * g.matching_bound())
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
 
     def record(i: int) -> StepRecord:
         live = deg[alive]
@@ -327,13 +321,16 @@ def knuth_count_estimator(g: TorusGraph, trials: int, seed: int = 0) -> float:
     rounding occurs.  A run holds the live edges' masks in (x, y) order
     and, as _LiveBoard.sample does, takes the r-th for r uniform below
     Q(i), then drops every mask that meets it.  The trials draw in turn
-    from one stream, SeedSequence(seed).
+    from one stream, default_rng(seed).  Raises PreconditionError("trials")
+    for fewer than one trial.
     """
     _check_seed(seed)
+    if trials < 1:
+        raise PreconditionError("trials", f"an estimate needs at least one trial, got {trials}")
     masks = [g.edge_mask(e) for e in g.edges()]
     m_max = g.matching_bound()
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     total = 0
     for _ in range(trials):
         live = masks
@@ -346,7 +343,7 @@ def knuth_count_estimator(g: TorusGraph, trials: int, seed: int = 0) -> float:
             placed += 1
         if placed == m_max:
             total += product
-    return total / trials if trials else 0.0
+    return total / trials
 
 
 def parity_track(trace: GreedyTrace) -> tuple[int, ...]:

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .board import (
-    Edge, Part, PART_ORDER, TorusGraph, Vertex, _json_int, centered, vector_board, vertex_index
+    Edge, Part, PART_ORDER, TorusGraph, Vertex, _json_int, centered, check_side, vector_board,
+    vertex_index,
 )
 from .errors import PreconditionError
 
@@ -257,8 +258,7 @@ def _from_json(
     if not isinstance(obj, dict):
         raise PreconditionError("top level", "must be a JSON object")
     n = _json_int(obj, "n")
-    if n < 1:
-        raise PreconditionError("n", "must be a positive integer")
+    check_side(n)
     out = empty(n, obj)
     if not isinstance(obj.get("entries"), list):
         why = "must be a JSON array" if "entries" in obj else "missing"

@@ -18,6 +18,7 @@ only aborts a run.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from random import Random
@@ -502,9 +503,12 @@ def extend_classical(
     budget.  A found matching is combined with the 12 fixed queens and
     the result is fully verified before being returned: no classical
     attacks, and exactly six toroidal attack pairs, all among the fixed
-    queens.  Raises CapacityError when the budget is exhausted, and
-    PreconditionError("n") when w is for another n.
+    queens.  Raises CapacityError when the budget is exhausted,
+    PreconditionError("budget_seconds") for a NaN budget, whose deadline
+    would never pass, and PreconditionError("n") when w is for another n.
     """
+    if math.isnan(budget_seconds):
+        raise PreconditionError("budget_seconds", "must be a number of seconds, got nan")
     _verify_wset(w)
     tstar = _punctured(n, w)
     rows = [r for r in range(n) if Vertex(Part.X, r) not in tstar.removed]

@@ -24,7 +24,8 @@ from torq.board import (
     vertex_index,
 )
 from torq.errors import PreconditionError
-from torq.lattice import edge_shadow
+from torq.decomp import make_config
+from torq.lattice import SupportVector, edge_shadow
 from torq.solvers import count_toroidal, max_partial_toroidal
 
 
@@ -121,10 +122,11 @@ class TestTorusGraph:
         assert exc.value.condition == "kind"
 
     def test_side_check_is_shared(self):
-        # Boards, exact solvers and placements reject n < 1 alike.
+        # Boards, exact solvers, gadgets and JSON readers reject n < 1 alike.
         for build in (lambda: TorusGraph(0), lambda: count_toroidal(-1),
-                      lambda: max_partial_toroidal(0),
-                      lambda: placement_from_json({"n": 0, "mode": "toroidal", "queens": []})):
+                      lambda: max_partial_toroidal(0), lambda: make_config(0, 0, 1, 3, 5),
+                      lambda: placement_from_json({"n": 0, "mode": "toroidal", "queens": []}),
+                      lambda: SupportVector.from_json({"n": 0, "entries": []})):
             with pytest.raises(PreconditionError) as exc:
                 build()
             assert (exc.value.condition, str(exc.value)) == ("n", "board side must be >= 1")

@@ -187,6 +187,12 @@ class TestDecompose:
             assert res.returncode == 2 and res.stdout == "", (args, res.stderr)
             assert res.stderr.startswith("error: kind: "), (args, res.stderr)
 
+    def test_bidc_below_four_names_n(self):
+        res = run_cli("decompose", "--n", "3", "--method", "bidc",
+                      stdin=json.dumps({"n": 3, "kind": "queens", "entries": []}))
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == "error: n: reduction requires n >= 4\n"
+
     def test_non_member_rejected(self):
         obj = {"n": 31, "kind": "queens",
                "entries": [{"part": "X", "coord": 0, "weight": 1}]}
@@ -332,6 +338,7 @@ class TestErrors:
             (("monsky", "--n", "0"), "n"),
             (("greedy", "--n", "0"), "n"),
             (("extend", "--n", "0"), "n"),
+            (("extend", "--n", "30", "--timeout", "nan"), "budget_seconds"),
             (("zsc", "--n", "0"), "n"),
             (("lattice", "check", "--n", "0", "--ones"), "n"),
             (("lattice", "check", "--n", "-2", "--ones"), "n"),

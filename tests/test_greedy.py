@@ -228,6 +228,12 @@ class TestKnuthEstimator:
     def test_unsolvable_board_is_zero(self):
         assert knuth_count_estimator(TorusGraph(6), trials=500, seed=0) == 0.0
 
+    def test_needs_a_trial(self):
+        for trials in (0, -5):
+            with pytest.raises(PreconditionError) as exc:
+                knuth_count_estimator(TorusGraph(5), trials)
+            assert exc.value.condition == "trials"
+
     def test_negative_seed_named(self):
         for run in (lambda: knuth_count_estimator(TorusGraph(5), trials=1, seed=-1),
                     lambda: run_greedy(TorusGraph(5), -1, 1.0)):

@@ -2,6 +2,7 @@
 classical extension pipeline."""
 
 import itertools
+import math
 
 import pytest
 
@@ -242,6 +243,15 @@ class TestExtendClassical:
             w = wset_from_tuples(30, tuples)
             with pytest.raises(CapacityError, match="no perfect matching with this"):
                 extend_classical(30, w, budget_seconds=600.0)
+
+    def test_nan_budget_is_rejected(self):
+        # A NaN deadline never passes, so it would run without one.
+        w = wset_from_tuples(30, EXTENDABLE_TUPLES[30])
+        for run in (lambda: extend_classical(30, w, budget_seconds=math.nan),
+                    lambda: extend_classical_search(30, budget_seconds=math.nan)):
+            with pytest.raises(PreconditionError) as exc:
+                run()
+            assert exc.value.condition == "budget_seconds"
 
     def test_search_timeout_aborts(self):
         with pytest.raises(CapacityError, match="within 0.0 s"):
