@@ -300,9 +300,13 @@ def _first_matching(
 # --- JSON I/O -----------------------------------------------------------
 
 
+#: The schema tag every JSON document torq writes carries.
+SCHEMA = "torq/1"
+
+
 def placement_to_json(n: int, mode: str, queens: Sequence[tuple[int, int]]) -> dict:
     return {
-        "schema": "torq/1",
+        "schema": SCHEMA,
         "n": n,
         "mode": mode,
         "queens": [[r, c] for r, c in queens],

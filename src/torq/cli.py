@@ -7,8 +7,8 @@ as the same text to the file named by --out.  Exit codes:
 failure.  Every randomized command defaults to seed 0, never to wall
 clock, so identical invocations produce byte-identical output.
 
-The environment variable TORQ_MAX_EXHAUSTIVE overrides the exhaustive
-solver bounds.
+The environment variable TORQ_MAX_EXHAUSTIVE, a positive integer,
+overrides the exhaustive solver bounds.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from random import Random
 import click
 
 from . import decomp, greedy, lattice, solvers
-from .board import Part, TorusGraph, check_side, dumps, square, vector_board
+from .board import SCHEMA, Part, TorusGraph, check_side, dumps, square, vector_board
 from .errors import CapacityError, PreconditionError, VerificationError
-
-SCHEMA = "torq/1"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -41,10 +39,17 @@ def _emit_json(obj: dict, out: str | None) -> None:
 
 def _solver_bound() -> int | None:
     raw = os.environ.get("TORQ_MAX_EXHAUSTIVE")
+    if not raw:
+        return None
     try:
-        return int(raw) if raw else None
+        bound = int(raw)
     except ValueError:
-        raise PreconditionError("TORQ_MAX_EXHAUSTIVE", f"must be an integer, got {raw!r}") from None
+        bound = 0  # rejected below, with the same message
+    if bound < 1:
+        raise PreconditionError(
+            "TORQ_MAX_EXHAUSTIVE", f"must be a positive integer, got {raw!r}"
+        )
+    return bound
 
 
 def _read_vector(n: int, kind: str = "queens") -> lattice.SupportVector:

@@ -174,13 +174,9 @@ def _q_step_edges(n: int, a: int, b: int, c: int, s: int) -> list[tuple[int, int
 
     Returned as ``(x, y, sign)`` triples; the boundary vanishes on the
     row, column and difference parts and equals
-    ``SQ(a,b,c) - SQ(a+s,b,c)`` on the sum part.
+    ``SQ(a,b,c) - SQ(a+s,b,c)`` on the sum part.  The step must be
+    realizable; ``_BinaryReducer.record`` checks that for every step.
     """
-    if not _q_step_realizable(n, b, c, s):
-        raise PreconditionError(
-            "q-step-parity",
-            f"Q step (a={a}, b={b}, c={c}, s={s}) has no edge realization at even n={n}",
-        )
     out = _simple_matrix(n, 0, c, a, a + b, 1)
     if s % 2 == 0 or n % 2 == 1:
         t = (s // 2) % n if s % 2 == 0 else (s * ((n + 1) // 2)) % n

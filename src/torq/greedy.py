@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .board import BoardKind, Edge, Matching, Part, TorusGraph, centered
+from .board import SCHEMA, BoardKind, Edge, Matching, Part, TorusGraph, centered
 from .errors import PreconditionError, VerificationError
 
 
@@ -199,7 +199,7 @@ def run_greedy(
     and compared.
     """
     if not (0.0 < stop_fraction <= 1.0):
-        raise PreconditionError("stop-fraction", "stop_fraction must be in (0, 1]")
+        raise PreconditionError("stop_fraction", f"must be in (0, 1], got {stop_fraction}")
     _check_seed(seed)
     if g.vertex_count() == 0:
         raise PreconditionError("board", f"the n={g.n} board has no vertex left")
@@ -411,7 +411,7 @@ def run_campaign(
         fracs.append(envelope_check(trace, b).inside_fraction)
         estimates.append(count_estimate(trace).normalized)
     return {
-        "schema": "torq/1",
+        "schema": SCHEMA,
         "n": n,
         "seeds": list(seeds),
         "b": b,

@@ -198,18 +198,6 @@ class WSet:
             out += [(a - 1, b - 1), (x - 1, y - 1), (c - 1, d - 1), (w - 1, z - 1)]
         return tuple(out)
 
-    def to_json(self) -> dict:
-        return {
-            "schema": "torq/1",
-            "n": self.n,
-            "case": self.case,
-            "delta": self.delta,
-            "tuples": [list(t) for t in self.tuples],
-            "removed_vertices": sorted(
-                (v.part.value, v.coord) for v in self.removed_vertices
-            ),
-        }
-
 
 def _wset_case(n: int) -> tuple[str, int]:
     if n % 6 in (1, 5):
@@ -220,9 +208,7 @@ def _wset_case(n: int) -> tuple[str, int]:
         return "even-3div", n // 6
     if n % 2 == 0:
         return "even-3ndiv", n // 2
-    if n % 3 == 0:
-        return "odd-3div", n // 3
-    raise PreconditionError("case", f"n={n} falls in no divisibility case")
+    return "odd-3div", n // 3  # n % 6 == 3 is all that is left
 
 
 def _congruence_holds(n: int, case: str, total: int) -> bool:
@@ -260,7 +246,11 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
 
     Depth-first search over the free fields in the order a1, b1, x1, c1,
     d1, w1, a2, ... (y_i and z_i are determined), taking values in
-    ascending order; prunes on element distinctness, on distinctness
+    ascending order.  Two generators take turns: ``sum_pair`` places an
+    octet's (a, b, x, y), the pair attacking on a sum diagonal, and
+    ``difference_pair`` its (c, d, w, z), the pair attacking on a
+    difference diagonal, before recursing into the next octet's sum
+    pair.  The search prunes on element distinctness, on distinctness
     mod n of the twelve sum and twelve difference diagonal classes, on
     the case congruence once all a, b, c, d are fixed, and on having
     enough disjoint small-sum pairs left for the remaining octets.  The
@@ -296,7 +286,8 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
             hi -= 1
         return pairs >= needed
 
-    def octet(i: int, used: int, svals: int, dvals: int) -> Iterator[None]:
+    def sum_pair(i: int, used: int, svals: int, dvals: int) -> Iterator[None]:
+        # Octet i's (a, b) and (x, y), with x + y = a + b + n.
         nonlocal nodes
         for a in range(1, half):
             if used >> a & 1:
@@ -313,31 +304,30 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
                 d_ab = 1 << (a - b) % n
                 if dvals & d_ab:
                     continue
-                u = used | 1 << a | 1 << b
-                if small_pairs_available(2 - i, u):
-                    yield from _octet_x(i, a, b, u, svals | s_ab, dvals | d_ab)
+                u_ab = used | 1 << a | 1 << b
+                if not small_pairs_available(2 - i, u_ab):
+                    continue
+                for x in range(a + b, n + 1):
+                    y = a + b + n - x
+                    if u_ab >> x & 1 or u_ab >> y & 1 or x == y:
+                        continue
+                    d_xy = 1 << (x - y) % n
+                    if (dvals | d_ab) & d_xy:
+                        continue
+                    yield from difference_pair(
+                        i, (a, b, x, y), u_ab | 1 << x | 1 << y,
+                        svals | s_ab, dvals | d_ab | d_xy,
+                    )
 
-    def _octet_x(
-        i: int, a: int, b: int, used: int, svals: int, dvals: int
+    def difference_pair(
+        i: int, abxy: tuple[int, int, int, int], used: int, svals: int, dvals: int
     ) -> Iterator[None]:
-        for x in range(a + b, n + 1):
-            y = a + b + n - x
-            if used >> x & 1 or used >> y & 1 or x == y:
-                continue
-            d_xy = 1 << (x - y) % n
-            if dvals & d_xy:
-                continue
-            yield from _octet_cd(
-                i, a, b, x, y, used | 1 << x | 1 << y, svals, dvals | d_xy
-            )
-
-    def _octet_cd(
-        i: int, a: int, b: int, x: int, y: int, used: int, svals: int, dvals: int
-    ) -> Iterator[None]:
+        # Octet i's (c, d) and (w, z), with w - z = c - d - n; then the
+        # next octet's sum pair, or the finished WSet after octet 2.
         free = elements & ~used
         svals2 = svals | svals << n  # bit v is class v mod n, for v < 2n
         if i == 2:
-            base = sum(t[0] + t[1] + t[4] - t[5] for t in octets) + a + b
+            base = sum(t[0] + t[1] + t[4] - t[5] for t in octets) + abxy[0] + abxy[1]
         # Bit half - t of diffs is set when the difference t = c - d in
         # 1..half passes every test that does not involve c itself.
         diffs = 0
@@ -358,38 +348,30 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
                 dbit = ds & -ds
                 ds ^= dbit
                 d = dbit.bit_length() - 1
-                yield from _octet_w(
-                    i, a, b, x, y, c, d, used | cbit | dbit,
-                    svals | 1 << (c + d) % n,
-                    dvals | 1 << (c - d) | 1 << (c - d + delta) % n,
-                )
+                t = c - d
+                s_cd = 1 << (c + d) % n
+                d_cd = 1 << t | 1 << (t + delta) % n
+                # w in 1..t with z = w + n - t free as well.
+                rest = free ^ cbit ^ dbit
+                ws = rest & rest >> (n - t) & (2 << t) - 2
+                while ws:
+                    wbit = ws & -ws
+                    ws ^= wbit
+                    w = wbit.bit_length() - 1
+                    z = w + n - t
+                    s_wz = 1 << (w + z) % n
+                    if (svals | s_cd) & s_wz:
+                        continue
+                    u = used | cbit | dbit | wbit | 1 << z
+                    octets.append((*abxy, c, d, w, z))
+                    if small_pairs_available(2 - i, u):
+                        if i == 2:
+                            yield None
+                        else:
+                            yield from sum_pair(i + 1, u, svals | s_cd | s_wz, dvals | d_cd)
+                    octets.pop()
 
-    def _octet_w(
-        i: int, a: int, b: int, x: int, y: int, c: int, d: int,
-        used: int, svals: int, dvals: int,
-    ) -> Iterator[None]:
-        t = c - d
-        free = elements & ~used
-        # w in 1..t with z = w + n - t free as well.
-        ws = free & free >> (n - t) & (2 << t) - 2
-        while ws:
-            wbit = ws & -ws
-            ws ^= wbit
-            w = wbit.bit_length() - 1
-            z = w + n - t
-            s_wz = 1 << (w + z) % n
-            if svals & s_wz:
-                continue
-            u = used | wbit | 1 << z
-            octets.append((a, b, x, y, c, d, w, z))
-            if small_pairs_available(2 - i, u):
-                if i == 2:
-                    yield None
-                else:
-                    yield from octet(i + 1, u, svals | s_wz, dvals)
-            octets.pop()
-
-    for _ in octet(0, 0, 0, 0):
+    for _ in sum_pair(0, 0, 0, 0):
         yield wset_from_tuples(n, tuple(octets))
 
 

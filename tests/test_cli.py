@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -55,10 +56,13 @@ class TestCount:
         res = run_cli("count", "--n", "5", "--mode", "classical",
                       env_extra={"TORQ_MAX_EXHAUSTIVE": "5"})
         assert res.returncode == 0
-        res = run_cli("count", "--n", "5", env_extra={"TORQ_MAX_EXHAUSTIVE": "abc"})
-        assert res.returncode == 2 and res.stdout == ""
-        assert res.stderr.startswith("error: TORQ_MAX_EXHAUSTIVE: ")
-        assert "Traceback" not in res.stderr
+        # A bound below 1 is bad input, not a capacity limit.
+        for cmd, raw in itertools.product(("count", "monsky"), ("abc", "-1", "0")):
+            res = run_cli(cmd, "--n", "5", env_extra={"TORQ_MAX_EXHAUSTIVE": raw})
+            assert res.returncode == 2 and res.stdout == "", (cmd, raw)
+            assert res.stderr == (
+                f"error: TORQ_MAX_EXHAUSTIVE: must be a positive integer, got {raw!r}\n"
+            ), (cmd, raw)
 
 
 class TestLatticeCheck:
@@ -350,6 +354,10 @@ class TestErrors:
             (("greedy", "--n", "5", "--b", "-inf"), "b"),
             (("greedy", "--n", "5", "--seed", "-1"), "seed"),
             (("greedy", "--n", "5", "--seed", "-1", "--seeds", "2"), "seed"),
+            (("greedy", "--n", "5", "--stop", "nan"), "stop_fraction"),
+            (("greedy", "--n", "5", "--stop", "0"), "stop_fraction"),
+            (("greedy", "--n", "5", "--stop", "2"), "stop_fraction"),
+            (("greedy", "--n", "5", "--stop", "nan", "--seeds", "2"), "stop_fraction"),
             (("extend", "--n", "29"), "case"),
         ):
             res = run_cli(*args)

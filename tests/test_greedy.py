@@ -79,7 +79,7 @@ class TestRunGreedy:
     def test_rejects_bad_stop_fraction(self):
         with pytest.raises(PreconditionError) as exc:
             run_greedy(TorusGraph(8), 0, 0.0)
-        assert exc.value.condition == "stop-fraction"
+        assert exc.value.condition == "stop_fraction"
 
     def test_degree_extremes_bracket_truth(self):
         g = TorusGraph(31)

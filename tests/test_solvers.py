@@ -45,6 +45,12 @@ FIRST_WSETS = {
           (8, 7, 26, 21, 29, 13, 11, 27)),
          ((1, 2, 3, 32, 12, 4, 6, 30), (5, 9, 18, 28, 27, 11, 13, 29),
           (8, 7, 26, 21, 25, 14, 10, 31))),
+    33: (((1, 2, 3, 33, 11, 4, 6, 32), (5, 8, 16, 30, 28, 12, 10, 27),
+          (7, 9, 25, 24, 29, 14, 13, 31)),
+         ((1, 2, 3, 33, 11, 4, 6, 32), (5, 8, 16, 30, 28, 12, 10, 27),
+          (9, 7, 25, 24, 29, 14, 13, 31)),
+         ((1, 2, 3, 33, 11, 4, 6, 32), (5, 8, 16, 30, 29, 14, 13, 31),
+          (7, 9, 25, 24, 28, 12, 10, 27))),
 }
 
 # The punctured-torus matching extend_classical(n, EXTENDABLE_TUPLES[n],
@@ -186,22 +192,20 @@ class TestWSet:
             build_wset(29)
         assert exc.value.condition == "case"
 
-    def test_json_shape(self):
-        obj = wset_from_tuples(30, EXTENDABLE_TUPLES[30]).to_json()
-        assert obj["schema"] == "torq/1" and obj["case"] == "even-3div"
-        assert len(obj["removed_vertices"]) == 48
-
     @pytest.mark.parametrize("n", sorted(FIRST_WSETS))
     def test_candidate_order(self, n):
         got = [w.tuples for w in itertools.islice(wset_candidates(n), 3)]
         assert tuple(got) == FIRST_WSETS[n]
 
-    def test_node_limit(self):
-        # The first WSet at n=30 comes out after exactly 314819 nodes.
+    @pytest.mark.parametrize(
+        "n,nodes", [(28, 670_235), (30, 314_819), (32, 84_000), (33, 507)]
+    )
+    def test_node_limit(self, n, nodes):
+        # The first WSet comes out after exactly this many (a, b) probes.
         with pytest.raises(CapacityError):
-            next(wset_candidates(30, node_limit=314_818))
-        w = next(wset_candidates(30, node_limit=314_819))
-        assert w.tuples == FIRST_WSETS[30][0]
+            next(wset_candidates(n, node_limit=nodes - 1))
+        w = next(wset_candidates(n, node_limit=nodes))
+        assert w.tuples == FIRST_WSETS[n][0]
 
     def test_build_wset_is_first_candidate(self):
         w = build_wset(30)
