@@ -153,13 +153,11 @@ class TorusGraph:
     n: int
     kind: BoardKind = BoardKind.QUEENS_TOROIDAL
     removed: frozenset[Vertex] = field(default_factory=frozenset)
-    _span: int = field(init=False, repr=False, compare=False)  # one bit per vertex
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, BoardKind):
             raise PreconditionError("kind", f"must be a BoardKind, got {self.kind!r}")
         check_side(self.n)
-        object.__setattr__(self, "_span", (1 << len(self.parts()) * self.n) - 1)
         for v in self.removed:
             if v.part not in self.parts() or not 0 <= v.coord < self.n:
                 raise ValueError(f"removed vertex {v} not on this board")
@@ -185,12 +183,14 @@ class TorusGraph:
         return e.vertices(self.n)[: len(self.parts())]
 
     def edge_mask(self, e: Edge) -> int:
-        """An int with bit vertex_index(n, v) for each vertex v of e (a
-        board without D cuts that bit off): two edges of this board share
-        a vertex exactly when their masks share a bit."""
+        """An int with bit vertex_index(n, v) for each vertex v of e on
+        this board: two edges of this board share a vertex exactly when
+        their masks share a bit."""
         n, x, y = self.n, e.x, e.y
-        mask = 1 << x | 1 << (n + y) | 1 << (2 * n + (x + y) % n) | 1 << (3 * n + (x - y) % n)
-        return mask & self._span
+        mask = 1 << x | 1 << (n + y) | 1 << (2 * n + (x + y) % n)
+        if Part.D in self.parts():
+            mask |= 1 << (3 * n + (x - y) % n)
+        return mask
 
     def has_vertex(self, v: Vertex) -> bool:
         """Whether v, of one of this board's parts, is in range and not removed."""
@@ -199,12 +199,12 @@ class TorusGraph:
     def has_edge(self, e: Edge) -> bool:
         return all(self.has_vertex(v) for v in self.edge_vertices(e))
 
-    def edges(self) -> list[Edge]:
-        """The live edges, in (x, y) order."""
+    def edges(self) -> list[tuple[Edge, int]]:
+        """The live edges with their edge masks, in (x, y) order."""
         n = self.n
         dead = sum(1 << vertex_index(n, v) for v in self.removed)
         every = (Edge(x, y) for x in range(n) for y in range(n))
-        return [e for e in every if not self.edge_mask(e) & dead]
+        return [(e, mask) for e in every if not (mask := self.edge_mask(e)) & dead]
 
 
 def attacks(n: int, mode: str, q1: tuple[int, int], q2: tuple[int, int]) -> bool:
@@ -300,17 +300,12 @@ def _first_matching(
 # --- JSON I/O -----------------------------------------------------------
 
 
-#: The schema tag every JSON document torq writes carries.
+#: The schema tag torq.cli stamps on every JSON document it writes.
 SCHEMA = "torq/1"
 
 
 def placement_to_json(n: int, mode: str, queens: Sequence[tuple[int, int]]) -> dict:
-    return {
-        "schema": SCHEMA,
-        "n": n,
-        "mode": mode,
-        "queens": [[r, c] for r, c in queens],
-    }
+    return {"n": n, "mode": mode, "queens": [[r, c] for r, c in queens]}
 
 
 def placement_from_json(obj: object) -> tuple[int, str, list[tuple[int, int]]]:

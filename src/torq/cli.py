@@ -1,11 +1,12 @@
 """Command-line interface for the toroidal queens toolkit.
 
 Subcommands: count, lattice, decompose, zsc, greedy, extend, monsky.
-Results go to stdout as canonical JSON (or CSV for greedy traces), or
-as the same text to the file named by --out.  Exit codes:
-0 success, 2 invalid input, 3 capacity or timeout, 4 verification
-failure.  Every randomized command defaults to seed 0, never to wall
-clock, so identical invocations produce byte-identical output.
+Results go to stdout as canonical JSON, stamped with the schema tag
+(or CSV for greedy traces), or as the same text to the file named by
+--out.  Exit codes: 0 success, 2 invalid input, 3 capacity, timeout or
+out of memory, 4 verification failure.  Every randomized command
+defaults to seed 0, never to wall clock, so identical invocations
+produce byte-identical output.
 
 The environment variable TORQ_MAX_EXHAUSTIVE, a positive integer,
 overrides the exhaustive solver bounds.
@@ -34,7 +35,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    _emit(dumps(obj) + "\n", out)
+    """Write obj, stamped with the schema tag, as one line of canonical JSON."""
+    _emit(dumps({**obj, "schema": SCHEMA}) + "\n", out)
 
 
 def _solver_bound() -> int | None:
@@ -89,7 +91,7 @@ def count(n: int, mode: str, out: str | None) -> None:
         value = solvers.count_semiqueens(n, "toroidal", bound)
     else:
         value = solvers.count_semiqueens(n, "classical", bound)
-    _emit_json({"schema": SCHEMA, "mode": mode, "n": n, "count": value}, out)
+    _emit_json({"mode": mode, "n": n, "count": value}, out)
 
 
 @cli.group(name="lattice")
@@ -119,13 +121,7 @@ def check(n: int, ones: bool, mode: str, oracle: bool, out: str | None) -> None:
         verdict = lattice.check_lattice_semiqueens(v)
     else:
         verdict = lattice.check_sublattice_S(v)
-    result = {
-        "schema": SCHEMA,
-        "n": n,
-        "mode": mode,
-        "ok": verdict.ok,
-        "failed": verdict.failed,
-    }
+    result = {"n": n, "mode": mode, "ok": verdict.ok, "failed": verdict.failed}
     if oracle:
         # The one-part sublattice is exactly the set of S-supported
         # lattice members, so the queens-lattice oracle covers it too.
@@ -166,7 +162,6 @@ def decompose(
             raise PreconditionError("radius", "--radius is required for method=leave")
         result = decomp.cover_leave(v, radius)
     obj = result.to_json()
-    obj["schema"] = SCHEMA
     if region is not None:
         pos, neg = decomp.to_matching_pair(result.phi, square(region))
         obj["matching_pair"] = {
@@ -189,10 +184,7 @@ def zsc(n: int, seed: int, out: str | None) -> None:
             n, rng.randrange(n), rng.randrange(n), rng.randrange(n), rng.randrange(n)
         )
         if cfg.valid:
-            obj = cfg.to_json()
-            obj["schema"] = SCHEMA
-            obj["seed"] = seed
-            _emit_json(obj, out)
+            _emit_json({**cfg.to_json(), "seed": seed}, out)
             return
     raise CapacityError(f"no valid zero-sum configuration found for n={n}")
 
@@ -238,11 +230,7 @@ def monsky(n: int, out: str | None) -> None:
         raise VerificationError(
             f"branch and bound found {value} but the closed form says {closed}"
         )
-    _emit_json(
-        {"schema": SCHEMA, "n": n, "max_partial": value, "closed_form": closed,
-         "agrees": True},
-        out,
-    )
+    _emit_json({"n": n, "max_partial": value, "closed_form": closed, "agrees": True}, out)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -263,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CapacityError as ex:
         print(f"capacity: {ex}", file=sys.stderr)
+        return 3
+    except MemoryError as ex:  # numpy's failed allocations included
+        print(f"capacity: {str(ex) or 'out of memory'}", file=sys.stderr)
         return 3
     except VerificationError as ex:
         print(f"verification failure: {ex}", file=sys.stderr)

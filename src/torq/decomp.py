@@ -389,17 +389,16 @@ def bidc_reduce(v: SupportVector) -> DecompositionResult:
             red.normalize(-k, off, 1, p)
 
     # Binary carries: pairs of a base class fold into the next class.
+    # At even n nothing may be left in the unit class to carry.
+    if n % 2 == 0 and red.classes[0]:
+        raise VerificationError("even-n parity invariant left a unit-class surplus")
     cap = (n // 2).bit_length() - 1
     for j in range(cap):
-        q, r = divmod(red.classes[j], 2)
+        q = red.classes[j] // 2
         if q:
-            if j == 0 and n % 2 == 0:
-                raise VerificationError("even-n parity invariant left a unit-class surplus")
             red.record("binary-carry", q, 0, 1, 1 << j, 1 << j)
             red.classes[j] -= 2 * q
             red.classes[j + 1] += q
-        if r and j == 0 and n % 2 == 0:
-            raise VerificationError("even-n parity invariant left a unit-class surplus")
     if any(red.classes.values()):
         raise VerificationError("class residual nonzero after carries")
 
@@ -746,9 +745,6 @@ def cover_leave(leave: SupportVector, radius: int) -> DecompositionResult:
 # --- rewriting an edge set into a matching pair -------------------------
 
 
-_TMATCH_PART_ORDER = {Part.D: 0, Part.S: 1, Part.Y: 2, Part.X: 3}
-
-
 def _spiral(n: int) -> Iterator[int]:
     """Residues in order of increasing absolute centered value."""
     yield 0
@@ -770,10 +766,10 @@ def _links(
     board: TorusGraph, v: Vertex, e_pos: Edge, e_neg: Edge
 ) -> Iterator[tuple[ZeroSumConfig, int] | None]:
     """For each free parameter q in :func:`_spiral` order, the zero-sum
-    configuration joined at ``v`` that holds ``e_pos`` with multiplicity
-    +1 and ``e_neg`` with -1, with the mask on the queens ``board`` of its
-    nine fresh vertices (those not on either edge); None when q gives no
-    admissible configuration."""
+    configuration joined at ``v``, a vertex of both edges, that holds
+    ``e_pos`` with multiplicity +1 and ``e_neg`` with -1, with the mask on
+    the queens ``board`` of its nine fresh vertices (those not on either
+    edge); None when q gives no admissible configuration."""
     n = board.n
     keep = board.edge_mask(e_pos) | board.edge_mask(e_neg)
     for q in _spiral(n):
@@ -785,18 +781,15 @@ def _links(
             z = make_config(n, e_pos.x, e_neg.x, q, (e_neg.y - e_pos.x) % n)
         else:
             z = make_config(n, e_pos.x, (e_pos.y - q) % n, e_neg.x, q)
-        positive = z.positive_edges()
-        vs = _mask(board, positive)
+        # As v lies on both edges, each case puts e_pos on z's positive
+        # side and e_neg on its negative side: (a, b+s) and (a, c+s) for
+        # X, (c, a+s) and (b, a+s) for Y, (a, b+s) and (b, a+s) for S,
+        # (a, b+s) and (c, d+s) for D.  With sixteen distinct vertices the
+        # two sides share no edge, so these are their multiplicities in
+        # z.edge_set().
+        vs = _mask(board, z.positive_edges())
         fresh = vs & ~keep
-        # With sixteen distinct vertices the two sides share no edge, so
-        # an edge's side is its multiplicity in z.edge_set().
-        admissible = (
-            vs.bit_count() == 16
-            and fresh.bit_count() == 9
-            and e_pos in positive
-            and e_neg in z.negative_edges()
-        )
-        yield (z, fresh) if admissible else None
+        yield (z, fresh) if vs.bit_count() == 16 and fresh.bit_count() == 9 else None
 
 
 def _matching_pair(g: TorusGraph, phi: SignedEdgeSet, what: str) -> tuple[Matching, Matching]:
@@ -838,16 +831,12 @@ def to_matching_pair(phi: SignedEdgeSet, region: Interval) -> tuple[Matching, Ma
     max_edges = 64 + 4 * phi.size()
     scan_budget = 200_000  # candidate configurations across the whole call
 
-    def cover(sign: int) -> dict[Vertex, int]:
-        """How often the edges of work with this sign cover each vertex."""
-        edges = {e: sign * m for e, m in work.entries.items() if sign * m > 0}
-        return shadow(SignedEdgeSet(n, edges)).entries
-
     def links_at(v: Vertex) -> Iterator[tuple[ZeroSumConfig, int] | None]:
         """For each positive edge e+ and negative edge e- of work through v,
         the links holding e- at +1 and e+ at -1, which cancel both."""
-        epos = sorted(e for e, m in work.entries.items() if m > 0 and v in e.vertices(n))
-        eneg = sorted(e for e, m in work.entries.items() if m < 0 and v in e.vertices(n))
+        bit = 1 << vertex_index(n, v)
+        epos = sorted(e for e, m in work.entries.items() if m > 0 and masks[e] & bit)
+        eneg = sorted(e for e, m in work.entries.items() if m < 0 and masks[e] & bit)
         if not epos or not eneg:
             raise VerificationError(f"over-covered vertex {v} lacks an opposite-sign edge")
         for e_plus in epos:
@@ -855,20 +844,32 @@ def to_matching_pair(phi: SignedEdgeSet, region: Interval) -> tuple[Matching, Ma
                 yield from _links(board, v, e_minus, e_plus)
 
     while True:
-        pos, neg = cover(1), cover(-1)
-        conflicts = sorted(
-            (v for v in set(pos) | set(neg) if pos.get(v, 0) >= 2 or neg.get(v, 0) >= 2),
-            key=lambda v: (_TMATCH_PART_ORDER[v.part], v.coord),
-        )
-        if not conflicts:
+        # One pass over work: each edge's mask, the vertices covered by
+        # each sign, and those covered twice by one sign (an edge of
+        # multiplicity m counts m times).
+        masks: dict[Edge, int] = {}
+        once, over = {1: 0, -1: 0}, 0
+        for e, m in work.entries.items():
+            mask = masks[e] = board.edge_mask(e)
+            sign = 1 if m > 0 else -1
+            over |= mask if abs(m) > 1 else once[sign] & mask
+            once[sign] |= mask
+        if not over:
             break
+        covered = once[1] | once[-1]
+        # Conflicts in reversed part order, then ascending coordinate.
+        conflicts = [
+            Vertex(part, c)
+            for i, part in reversed(list(enumerate(PART_ORDER)))
+            for c in range(n)
+            if over >> (i * n + c) & 1
+        ]
         steps += 1
         if steps > max_steps or len(work.entries) > max_edges:
             raise CapacityError(
                 "rewriting did not converge within its step budget",
                 blocking=conflicts[0],
             )
-        covered = _mask(board, work.entries)
 
         # Take the first configuration whose fresh vertices lie in region
         # and are all uncovered, else the first with the fewest collisions
@@ -896,8 +897,6 @@ def to_matching_pair(phi: SignedEdgeSet, region: Interval) -> tuple[Matching, Ma
             )
         work += best[1].edge_set()
 
-    if any(abs(m) > 1 for m in work.entries.values()):
-        raise VerificationError("rewriting finished with a multi-edge")
     if shadow(work) != sh:
         raise VerificationError("rewriting changed the shadow")
     return _matching_pair(board, work, "rewriting")

@@ -31,12 +31,13 @@ import csv
 import io
 import math
 import statistics
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .board import SCHEMA, BoardKind, Edge, Matching, Part, TorusGraph, centered
+from .board import BoardKind, Edge, Matching, Part, TorusGraph, centered
 from .errors import PreconditionError, VerificationError
 
 
@@ -327,7 +328,7 @@ def knuth_count_estimator(g: TorusGraph, trials: int, seed: int = 0) -> float:
     _check_seed(seed)
     if trials < 1:
         raise PreconditionError("trials", f"an estimate needs at least one trial, got {trials}")
-    masks = [g.edge_mask(e) for e in g.edges()]
+    masks = [mask for _, mask in g.edges()]
     m_max = g.matching_bound()
 
     rng = np.random.default_rng(seed)
@@ -400,7 +401,11 @@ def run_campaign(
     n: int, seeds: Sequence[int], b: float, stop_fraction: float
 ) -> dict:
     """Run one greedy trace per seed and fold the summary statistics."""
-    if len(seeds) == 0:
+    try:
+        count = len(seeds)
+    except OverflowError:  # a range longer than sys.maxsize
+        raise PreconditionError("seeds", f"a campaign takes at most {sys.maxsize} seeds") from None
+    if count == 0:
         raise PreconditionError("seeds", "a campaign needs at least one seed")
     Envelope(b)  # rejects a bad b before the runs
     g = TorusGraph(n)
@@ -411,7 +416,6 @@ def run_campaign(
         fracs.append(envelope_check(trace, b).inside_fraction)
         estimates.append(count_estimate(trace).normalized)
     return {
-        "schema": SCHEMA,
         "n": n,
         "seeds": list(seeds),
         "b": b,

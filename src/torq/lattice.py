@@ -528,7 +528,7 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 def _edge_lattice(n: int, kind: str) -> _EchelonLattice:
     g = TorusGraph(n, vector_board(kind))
     lat = _EchelonLattice()
-    for e in g.edges():
+    for e, _ in g.edges():
         lat.add({vertex_index(n, v): 1 for v in g.edge_vertices(e)})
     return lat
 

@@ -469,23 +469,24 @@ def verify_placement(
     return out
 
 
+#: Node-capped restarts extend_classical gives one WSet.
+_RESTARTS = 8
+
+
 def extend_classical(
-    n: int,
-    w: WSet,
-    budget_seconds: float = 30.0,
-    max_restarts: int = 1000,
-    seed: int = 0,
+    n: int, w: WSet, budget_seconds: float = 30.0, seed: int = 0
 ) -> ClassicalExtension:
     """Classical n-queens placement with exactly six toroidal attack
     pairs, from a perfect matching of the punctured torus.
 
     Searches for a perfect matching of T(n) minus W by depth-first
     search with seed-shuffled row and column orders, restarting with a
-    fresh shuffle whenever a node cap is hit, within the wall-clock
-    budget.  A found matching is combined with the 12 fixed queens and
-    the result is fully verified before being returned: no classical
-    attacks, and exactly six toroidal attack pairs, all among the fixed
-    queens.  Raises CapacityError when the budget is exhausted,
+    fresh shuffle whenever a node cap is hit, at most _RESTARTS times
+    and within the wall-clock budget.  A found matching is combined with
+    the 12 fixed queens and the result is fully verified before being
+    returned: no classical attacks, and exactly six toroidal attack
+    pairs, all among the fixed queens.  Raises CapacityError when the
+    restarts or the budget run out,
     PreconditionError("budget_seconds") for a NaN budget, whose deadline
     would never pass, and PreconditionError("n") when w is for another n.
     """
@@ -495,10 +496,10 @@ def extend_classical(
     tstar = _punctured(n, w)
     rows = [r for r in range(n) if Vertex(Part.X, r) not in tstar.removed]
     cols = [c for c in range(n) if Vertex(Part.Y, c) not in tstar.removed]
-    squares = {(e.x, e.y): (e, tstar.edge_mask(e)) for e in tstar.edges()}
+    squares = {(e.x, e.y): (e, mask) for e, mask in tstar.edges()}
     deadline = time.monotonic() + budget_seconds
 
-    for restart in range(max_restarts):
+    for restart in range(_RESTARTS):
         if time.monotonic() > deadline:
             break
         rng = Random((seed << 20) + restart)
@@ -543,10 +544,7 @@ def extend_classical_search(
     deadline = time.monotonic() + budget_seconds
     for w in wset_candidates(n):
         try:
-            return extend_classical(
-                n, w, budget_seconds=deadline - time.monotonic(),
-                max_restarts=8, seed=seed,
-            )
+            return extend_classical(n, w, budget_seconds=deadline - time.monotonic(), seed=seed)
         except CapacityError:
             if time.monotonic() > deadline:
                 break

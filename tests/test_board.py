@@ -163,12 +163,12 @@ def test_board_model_agrees_with_its_vertices(g):
     n = g.n
     vector_kind = {board: k for k, board in VECTOR_KINDS.items()}[g.kind]
     every = [Edge(x, y) for x in range(n) for y in range(n)]
-    assert g.edges() == [e for e in every if g.has_edge(e)]
-    for e in g.edges():
+    assert [e for e, _ in g.edges()] == [e for e in every if g.has_edge(e)]
+    for e, mask in g.edges():
         vs = g.edge_vertices(e)
         assert [v.part for v in vs] == list(g.parts())
         bits = {vertex_index(n, v) for v in vs}
-        assert g.edge_mask(e) == sum(1 << b for b in bits)
+        assert mask == g.edge_mask(e) == sum(1 << b for b in bits)
         assert edge_shadow(n, e, vector_kind).entries == {v: 1 for v in vs}
     live = [sum(v.part is p for v in g.vertices()) for p in g.parts()]
     assert g.matching_bound() == min(live)

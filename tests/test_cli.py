@@ -274,7 +274,8 @@ class TestGreedy:
             assert code == 2 and err.getvalue().startswith("error: b: "), (seeds, err.getvalue())
 
     def test_empty_campaign_is_rejected(self):
-        for count in ("0", "-2"):
+        # The last count is past sys.maxsize: too many seeds to run.
+        for count in ("0", "-2", "99999999999999999999"):
             res = run_cli("greedy", "--n", "5", "--seeds", count)
             assert res.returncode == 2
             assert "seeds" in res.stderr and "Traceback" not in res.stderr
@@ -335,6 +336,17 @@ class TestErrors:
             assert res.returncode == 2 and res.stdout == "", (stdin, res.stderr)
             assert res.stderr.startswith(f"error: {field}: "), (stdin, res.stderr)
             assert "Traceback" not in res.stderr
+
+    def test_out_of_memory_is_a_capacity_error(self):
+        # numpy's failed allocations raise a MemoryError subclass.
+        numpy_text = "Unable to allocate 400. GiB for an array"
+        for ex, message in ((MemoryError(), "out of memory"),
+                            (MemoryError(numpy_text), numpy_text)):
+            err = io.StringIO()
+            with (mock.patch("torq.greedy.run_greedy", side_effect=ex),
+                  contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+                code = main(["greedy", "--n", "5"])
+            assert (code, err.getvalue()) == (3, f"capacity: {message}\n")
 
     def test_precondition_names_the_field(self):
         for args, field in (

@@ -3,11 +3,13 @@ matching-pair rewriting, and cascades."""
 
 import os
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from torq.board import (
+    PART_ORDER,
     Edge,
     Part,
     TorusGraph,
@@ -21,6 +23,8 @@ from torq.board import (
 )
 from torq.decomp import (
     Cascade,
+    _links,
+    _spiral,
     build_cascade,
     bidc_reduce,
     bidc_size_bound,
@@ -317,6 +321,23 @@ class TestCoverLeave:
         assert exc.value.condition == "radius-range"
 
 
+def assert_matching_pair_shadows(n, m1, m2, leave):
+    """m1 and m2 are matchings of T(n), and m1 - m2 shadows leave."""
+    g = TorusGraph(n)
+    assert verify_matching(g, m1).valid and verify_matching(g, m2).valid
+    union = SignedEdgeSet(n)
+    for m, sign in ((m1, 1), (m2, -1)):
+        for e in m:
+            union.add(e, sign)
+    assert shadow(union) == leave
+
+
+#: Centered cells whose edge lies inside the square of radius 4.
+CELLS_IN_RADIUS_4 = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
+    lambda c: abs(c[0] + c[1]) <= 4 and abs(c[0] - c[1]) <= 4
+)
+
+
 class TestToMatchingPair:
     def test_leave_cover_rewrites_to_matchings(self):
         n, r = 101, 4
@@ -325,14 +346,24 @@ class TestToMatchingPair:
             leave = TestCoverLeave().leave_from_matching(rng, n, 1, r)
             res = cover_leave(leave, r)
             m1, m2 = to_matching_pair(res.phi, whole_board(n))
-            g = TorusGraph(n)
-            assert verify_matching(g, m1).valid and verify_matching(g, m2).valid
-            acc = {}
-            for e in m1:
-                acc[e] = acc.get(e, 0) + 1
-            for e in m2:
-                acc[e] = acc.get(e, 0) - 1
-            assert shadow(SignedEdgeSet(n, acc)) == leave
+            assert_matching_pair_shadows(n, m1, m2, leave)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(17, 37), st.lists(CELLS_IN_RADIUS_4, min_size=1, max_size=2))
+    def test_leave_covers_rewrite_or_run_out(self, n, cells):
+        # One or two disjoint edges inside radius 4, every n mod 6: the
+        # rewrite returns a verified pair or names a spent budget.
+        edges = [edge_at_centered(n, cx, cy) for cx, cy in cells]
+        assume(verify_matching(TorusGraph(n), edges).valid)
+        leave = sv(n, [])
+        for e in edges:
+            leave = leave + edge_shadow(n, e)
+        phi = cover_leave(leave, 4).phi
+        try:
+            m1, m2 = to_matching_pair(phi, whole_board(n))
+        except CapacityError:
+            return
+        assert_matching_pair_shadows(n, m1, m2, leave)
 
     def test_congested_cover_still_rewrites(self):
         # This particular leave produces a cover whose over-covered
@@ -342,14 +373,7 @@ class TestToMatchingPair:
         leave = edge_shadow(n, edge_at_centered(n, 3, 1))
         res = cover_leave(leave, 4)
         m1, m2 = to_matching_pair(res.phi, whole_board(n))
-        g = TorusGraph(n)
-        assert verify_matching(g, m1).valid and verify_matching(g, m2).valid
-        acc = {}
-        for e in m1:
-            acc[e] = acc.get(e, 0) + 1
-        for e in m2:
-            acc[e] = acc.get(e, 0) - 1
-        assert shadow(SignedEdgeSet(n, acc)) == leave
+        assert_matching_pair_shadows(n, m1, m2, leave)
         pair = {"positive": [[e.x, e.y] for e in m1], "negative": [[e.x, e.y] for e in m2]}
         assert dumps(pair) + "\n" == golden("congested_pair.json")
 
@@ -368,6 +392,37 @@ class TestToMatchingPair:
         with pytest.raises(PreconditionError) as exc:
             to_matching_pair(phi, whole_board(33))
         assert exc.value.condition == "shadow-weights"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(5, 40), st.sampled_from(PART_ORDER), st.data())
+def test_links_hold_their_edges_on_their_sides(n, part, data):
+    """Every configuration _links builds, admissible or not, holds e_pos
+    on its positive side and e_neg on its negative side, so _links need
+    not test it."""
+    coord = st.integers(0, n - 1)
+    e_pos = Edge(data.draw(coord), data.draw(coord))
+    v = e_pos.vertices(n)[PART_ORDER.index(part)]
+    x = data.draw(coord)
+    e_neg = {  # another edge through v
+        Part.X: Edge(v.coord, x),
+        Part.Y: Edge(x, v.coord),
+        Part.S: Edge(x, (v.coord - x) % n),
+        Part.D: Edge(x, (x - v.coord) % n),
+    }[part]
+    assume(e_neg != e_pos)
+    built = []
+
+    def record(*args):
+        built.append(make_config(*args))
+        return built[-1]
+
+    with mock.patch("torq.decomp.make_config", side_effect=record):
+        links = list(_links(TorusGraph(n), v, e_pos, e_neg))
+    assert len(built) == len(links) == len(list(_spiral(n)))
+    for z, link in zip(built, links):
+        assert e_pos in z.positive_edges() and e_neg in z.negative_edges()
+        assert link is None or link[0] is z
 
 
 class TestArgumentsUnchanged:

@@ -334,7 +334,6 @@ class TestCsvExport:
 class TestCampaign:
     def test_summary_shape(self):
         out = run_campaign(101, seeds=range(3), b=0.05, stop_fraction=0.8)
-        assert out["schema"] == "torq/1"
         assert out["seeds"] == [0, 1, 2]
         s = out["summary"]
         assert 0.0 <= s["inside_fraction_median"] <= 1.0
