@@ -34,15 +34,15 @@ class Part(str, Enum):
     D = "D"
 
 
-#: Deterministic iteration order for parts (lexicographic on the enum).
-PART_ORDER: tuple[Part, ...] = (Part.X, Part.Y, Part.S, Part.D)
+#: X, Y, S, D, the order of a board's parts and vertex numbering (Vertex sorts D, S, X, Y).
+PART_ORDER: tuple[Part, ...] = tuple(Part)
 
 
 class BoardKind(str, Enum):
-    """A board and its ``parts``, the first k of PART_ORDER."""
+    """A board, valued by its SupportVector kind; ``parts`` are the first k of PART_ORDER."""
 
-    QUEENS_TOROIDAL = ("queens-toroidal", 4)
-    SEMIQUEENS_TOROIDAL = ("semiqueens-toroidal", 3)  # no D
+    QUEENS_TOROIDAL = ("queens", 4)
+    SEMIQUEENS_TOROIDAL = ("semi", 3)  # no D
 
     def __new__(cls, value: str, k: int) -> "BoardKind":
         kind = str.__new__(cls, value)
@@ -51,16 +51,16 @@ class BoardKind(str, Enum):
         return kind
 
 
-#: The board of each SupportVector kind.
-VECTOR_KINDS = {"queens": BoardKind.QUEENS_TOROIDAL, "semi": BoardKind.SEMIQUEENS_TOROIDAL}
+#: vector_board's lookup: a dict, as calling BoardKind("semi") is far slower.
+_BOARDS = {board.value: board for board in BoardKind}
 
 
 def vector_board(kind: object) -> BoardKind:
     """The board of a vector kind, or PreconditionError naming kind."""
     try:
-        return VECTOR_KINDS[kind]
+        return _BOARDS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable JSON kind
-        raise PreconditionError("kind", "must be 'queens' or 'semi'") from None
+        raise PreconditionError("kind", f"must be {' or '.join(map(repr, _BOARDS))}") from None
 
 
 def check_side(n: int) -> None:

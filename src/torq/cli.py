@@ -14,6 +14,7 @@ overrides the exhaustive solver bounds.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -29,9 +30,12 @@ from .errors import CapacityError, PreconditionError, VerificationError
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as ex:
+        raise PreconditionError("out", str(ex)) from ex
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
@@ -58,7 +62,7 @@ def _read_vector(n: int, kind: str = "queens") -> lattice.SupportVector:
     """The support vector on stdin, which must have side n and this kind."""
     try:
         obj = json.load(sys.stdin)
-    except json.JSONDecodeError as ex:
+    except (ValueError, RecursionError) as ex:  # an undecodable byte is a ValueError
         raise PreconditionError("stdin", f"malformed JSON: {ex}") from ex
     v = lattice.SupportVector.from_json(obj)
     lattice.check_vector(v, n, kind)
@@ -70,28 +74,23 @@ def cli() -> None:
     """Toroidal n-queens toolkit."""
 
 
+#: count's --mode choices, in --help order, and their exact counters.
+_COUNTERS = {
+    "classical": solvers.count_classical,
+    "toroidal": solvers.count_toroidal,
+    "semiqueens": functools.partial(solvers.count_semiqueens, mode="toroidal"),
+    "semiqueens-classical": functools.partial(solvers.count_semiqueens, mode="classical"),
+}
+
+
 @cli.command()
 @click.option("--n", type=int, required=True)
-@click.option(
-    "--mode",
-    type=click.Choice(
-        ["classical", "toroidal", "semiqueens", "semiqueens-classical"]
-    ),
-    default="toroidal",
-)
+@click.option("--mode", type=click.Choice(list(_COUNTERS)), default="toroidal")
 @click.option("--out", type=str, default=None)
 def count(n: int, mode: str, out: str | None) -> None:
     """Exact solution count for the chosen board."""
     bound = _solver_bound()
-    if mode == "classical":
-        value = solvers.count_classical(n, bound)
-    elif mode == "toroidal":
-        value = solvers.count_toroidal(n, bound)
-    elif mode == "semiqueens":
-        value = solvers.count_semiqueens(n, "toroidal", bound)
-    else:
-        value = solvers.count_semiqueens(n, "classical", bound)
-    _emit_json({"mode": mode, "n": n, "count": value}, out)
+    _emit_json({"mode": mode, "n": n, "count": _COUNTERS[mode](n, bound=bound)}, out)
 
 
 @cli.group(name="lattice")
@@ -99,28 +98,29 @@ def lattice_group() -> None:
     """Edge-lattice membership tests."""
 
 
+#: lattice check's --mode choices, in --help order, their tests and vector kinds.
+_MEMBERSHIP_TESTS = {
+    "queens": (lattice.check_lattice_queens, "queens"),
+    "semi": (lattice.check_lattice_semiqueens, "semi"),
+    "sublattice-s": (lattice.check_sublattice_S, "queens"),
+}
+
+
 @lattice_group.command()
 @click.option("--n", type=int, required=True)
 @click.option("--ones", is_flag=True, help="Test the all-ones target.")
-@click.option(
-    "--mode", type=click.Choice(["queens", "semi", "sublattice-s"]), default="queens"
-)
+@click.option("--mode", type=click.Choice(list(_MEMBERSHIP_TESTS)), default="queens")
 @click.option("--oracle", is_flag=True, help="Cross-check against the HNF oracle.")
 @click.option("--out", type=str, default=None)
 def check(n: int, ones: bool, mode: str, oracle: bool, out: str | None) -> None:
     """Membership verdict for a support vector (stdin JSON, or --ones)."""
-    kind = "semi" if mode == "semi" else "queens"
+    test, kind = _MEMBERSHIP_TESTS[mode]
     if ones:
         check_side(n)
         v = lattice.sv(n, [(p, c, 1) for p in vector_board(kind).parts for c in range(n)], kind)
     else:
         v = _read_vector(n, kind)
-    if mode == "queens":
-        verdict = lattice.check_lattice_queens(v)
-    elif mode == "semi":
-        verdict = lattice.check_lattice_semiqueens(v)
-    else:
-        verdict = lattice.check_sublattice_S(v)
+    verdict = test(v)
     result = {"n": n, "mode": mode, "ok": verdict.ok, "failed": verdict.failed}
     if oracle:
         # The one-part sublattice is exactly the set of S-supported

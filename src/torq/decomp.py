@@ -457,13 +457,13 @@ def _put_edge(phi: SignedEdgeSet, residual: SupportVector, e: Edge, m: int) -> N
 
 
 def decompose_bounded(target: SupportVector) -> DecompositionResult:
-    """Realize an arbitrary lattice vector as a signed edge set.
+    """Realize an arbitrary lattice vector, at any n, as a signed edge set.
 
     A target that is exactly a matching shadow is reconstructed as that
     matching.  Otherwise: cover every weighted vertex by edges,
     eliminate the row and column parts by pairing units, lift the
     difference part away through signed simple matrices, then reduce the
-    remaining sum-part vector.
+    remaining sum-part vector (by bidc_reduce, or at n = 3 by diagonals).
     """
     check_vector(target, target.n, "queens")
     n = target.n
@@ -540,6 +540,14 @@ def decompose_bounded(target: SupportVector) -> DecompositionResult:
     if any(v.part is not Part.S for v in r.support()):
         raise VerificationError("difference lift left residue off the sum part")
     bidc = ("bidc", 0, 0)
+    if n == 3:  # bidc_reduce needs n >= 4; here S weight w is w/3 sum diagonals,
+        # whose w/3 on each X, Y and D vertex cancel, as the weights sum to 0.
+        copies = {s: w // 3 for s, w in r.part_weights(Part.S).items()}
+        for s, m in copies.items():
+            for x in range(n):
+                _put_edge(phi, r, Edge(x, (s - x) % n), m)
+        gadgets = sum(map(abs, copies.values()))
+        bidc = ("bidc", gadgets, n * gadgets)
     if not r.is_zero():
         sub = bidc_reduce(r)
         phi += sub.phi

@@ -183,9 +183,7 @@ def _check_seed(seed: int) -> None:
         raise PreconditionError("seed", f"must be a non-negative integer, got {seed}")
 
 
-def run_greedy(
-    g: TorusGraph, seed: int, stop_fraction: float, debug: bool = False
-) -> GreedyTrace:
+def run_greedy(g: TorusGraph, seed: int, stop_fraction: float) -> GreedyTrace:
     """Run the uniform random greedy matching process on g.
 
     Selects a uniformly random remaining edge, appends it to the
@@ -194,10 +192,6 @@ def run_greedy(
     no edges remain.  The trace records a StepRecord for every prefix,
     including the empty one.  Deterministic for fixed (g, seed,
     stop_fraction).  Memory is O(n).
-
-    With debug=True the incrementally maintained degrees are rebuilt
-    from the vertex-alive masks every 256 steps and after the last one,
-    and compared.
     """
     if not (0.0 < stop_fraction <= 1.0):
         raise PreconditionError("stop_fraction", f"must be in (0, 1], got {stop_fraction}")
@@ -239,10 +233,6 @@ def run_greedy(
             disparity += int(par[e.d(n)]) - int(par[e.s(n)])
         chosen.append(e)
         steps.append(record(len(chosen)))
-        if debug and len(chosen) % 256 == 0:
-            board.check()
-    if debug:
-        board.check()
     return GreedyTrace(
         n=n,
         seed=seed,

@@ -109,8 +109,8 @@ class _Counter:
 class SupportVector(_Counter):
     """Integer weights on the vertices of a board of side n.
 
-    kind is "queens" (4 parts) or "semi" (3 parts, no D), the parts of
-    its board in torq.board.VECTOR_KINDS; any other kind raises
+    kind is its BoardKind's value, "queens" (4 parts) or "semi" (3 parts,
+    no D), as a str: a member hashes by its name.  Any other kind raises
     PreconditionError("kind").  Zero weights are never stored.
     """
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from torq.board import (
-    VECTOR_KINDS,
     BoardKind,
     Edge,
     Matching,
@@ -133,7 +132,9 @@ class TestTorusGraph:
 
 
 class TestEdgeMask:
-    @pytest.mark.parametrize("kind", list(BoardKind))
+    @pytest.mark.parametrize(
+        "kind", list(BoardKind), ids=lambda kind: kind.name.lower().replace("_", "-")
+    )
     @pytest.mark.parametrize("n", range(5, 11))
     def test_masks_meet_iff_edges_share_a_vertex(self, kind, n):
         g = TorusGraph(n, kind)
@@ -161,7 +162,6 @@ def test_board_model_agrees_with_its_vertices(g):
     """Edge masks, shadows, live edges and the matching bound all follow
     from the parts table and edge_vertices."""
     n = g.n
-    vector_kind = {board: k for k, board in VECTOR_KINDS.items()}[g.kind]
     every = [Edge(x, y) for x in range(n) for y in range(n)]
     assert [e for e, _ in g.edges()] == [e for e in every if g.has_edge(e)]
     for e, mask in g.edges():
@@ -169,7 +169,7 @@ def test_board_model_agrees_with_its_vertices(g):
         assert [v.part for v in vs] == list(g.parts())
         bits = {vertex_index(n, v) for v in vs}
         assert mask == g.edge_mask(e) == sum(1 << b for b in bits)
-        assert edge_shadow(n, e, vector_kind).entries == {v: 1 for v in vs}
+        assert edge_shadow(n, e, g.kind.value).entries == {v: 1 for v in vs}
     live = [sum(v.part is p for v in g.vertices()) for p in g.parts()]
     assert g.matching_bound() == min(live)
 

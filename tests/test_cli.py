@@ -22,6 +22,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run_cli(*args, stdin=None, env_extra=None):
+    """Run torq in a subprocess; with bytes on stdin, its output is bytes."""
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -29,7 +30,7 @@ def run_cli(*args, stdin=None, env_extra=None):
         [sys.executable, "-m", "torq.cli", *args],
         input=stdin,
         capture_output=True,
-        text=True,
+        text=not isinstance(stdin, bytes),
         env=env,
         timeout=300,
     )
@@ -336,6 +337,42 @@ class TestErrors:
             assert res.returncode == 2 and res.stdout == "", (stdin, res.stderr)
             assert res.stderr.startswith(f"error: {field}: "), (stdin, res.stderr)
             assert "Traceback" not in res.stderr
+
+    def test_unwritable_out_is_invalid_input(self, tmp_path):
+        # A missing directory, and a directory in place of the file.
+        for out, args in itertools.product(
+            (tmp_path / "missing" / "x.json", tmp_path),
+            (("count", "--n", "5"), ("greedy", "--n", "5")),
+        ):
+            res = run_cli(*args, "--out", str(out))
+            assert res.returncode == 2 and res.stdout == "", (args, out, res.stderr)
+            assert res.stderr.startswith("error: out: "), (args, out, res.stderr)
+            assert str(out) in res.stderr
+
+    def test_unreadable_stdin_is_malformed_json(self):
+        # Nesting deeper than the recursion limit, and a byte that is not
+        # UTF-8 under strict decoding.
+        strict = {"PYTHONIOENCODING": "utf-8:strict"}
+        for args, stdin in itertools.product(
+            (("lattice", "check", "--n", "5"), ("decompose", "--n", "5")),
+            (b"[" * 100_000, b'{"n": 5\xff}'),
+        ):
+            res = run_cli(*args, stdin=stdin, env_extra=strict)
+            assert res.returncode == 2 and res.stdout == b"", (args, res.stderr)
+            assert res.stderr.startswith(b"error: stdin: malformed JSON: "), (args, res.stderr)
+            assert b"Traceback" not in res.stderr
+
+    def test_mode_choices_keep_their_order(self):
+        # --help and the invalid-choice message list them in this order.
+        def modes(command):
+            return next(list(p.type.choices) for p in command.params if p.name == "mode")
+
+        assert modes(cli.commands["count"]) == [
+            "classical", "toroidal", "semiqueens", "semiqueens-classical"
+        ]
+        assert modes(cli.commands["lattice"].commands["check"]) == [
+            "queens", "semi", "sublattice-s"
+        ]
 
     def test_out_of_memory_is_a_capacity_error(self):
         # numpy's failed allocations raise a MemoryError subclass.

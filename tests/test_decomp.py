@@ -6,7 +6,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from torq.board import (
     PART_ORDER,
@@ -392,6 +392,28 @@ class TestToMatchingPair:
         with pytest.raises(PreconditionError) as exc:
             to_matching_pair(phi, whole_board(33))
         assert exc.value.condition == "shadow-weights"
+
+
+@st.composite
+def small_shadows(draw):
+    """The shadow of 1 to 6 edges with multiplicities +-1 or +-2, at n in
+    1..40 (odd and even, every n mod 6)."""
+    n = draw(st.integers(1, 40))
+    coord = st.integers(0, n - 1)
+    phi = SignedEdgeSet(n)
+    for x, y, m in draw(st.lists(st.tuples(coord, coord, st.sampled_from([-2, -1, 1, 2])),
+                                 min_size=1, max_size=6)):
+        phi.add(Edge(x, y), m)
+    return shadow(phi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_shadows())
+@example(shadow(SignedEdgeSet(3, {Edge(0, 1): -2, Edge(1, 1): 1})))
+def test_decompose_bounded_realizes_every_member(v):
+    """Every lattice member is realized exactly, at n = 3 (below
+    bidc_reduce's n >= 4) too."""
+    assert shadow(decompose_bounded(v).phi) == v
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,6 +15,7 @@ from torq.greedy import (
     CountEstimate,
     Envelope,
     GreedyTrace,
+    _LiveBoard,
     count_estimate,
     envelope_check,
     knuth_count_estimator,
@@ -24,6 +25,27 @@ from torq.greedy import (
     trace_to_csv,
 )
 from torq.solvers import count_semiqueens, count_toroidal
+
+
+def _kind_id(kind: BoardKind) -> str:
+    """A board kind's test id, from its member name: queens-toroidal."""
+    return kind.name.lower().replace("_", "-")
+
+
+def replay_checked(g: TorusGraph, trace: GreedyTrace) -> None:
+    """Replay trace's matching on a fresh _LiveBoard, killing g's removed
+    vertices first as run_greedy does, and rebuild the degrees from the
+    masks after every step: they and Q must match the trace's."""
+    board = _LiveBoard(g.n, len(g.parts()))
+    for v in g.removed:
+        board.kill(g.parts().index(v.part), v.coord)
+    board.check()
+    assert board.q == trace.steps[0].q
+    for rec, e in zip(trace.steps[1:], trace.matching):
+        for i, v in enumerate(g.edge_vertices(e)):
+            board.kill(i, v.coord)
+        board.check()
+        assert board.q == rec.q, rec.i
 
 
 class TestRunGreedy:
@@ -65,7 +87,19 @@ class TestRunGreedy:
 
     def test_debug_mode_agrees(self):
         g = TorusGraph(40)
-        assert run_greedy(g, 1, 0.7, debug=True) == run_greedy(g, 1, 0.7)
+        replay_checked(g, run_greedy(g, 1, 0.7))
+
+    def test_check_catches_drift(self):
+        board = _LiveBoard(7, 4)
+        board.kill(2, 3)
+        board.check()
+        board.deg[1, 5] -= 1
+        with pytest.raises(VerificationError, match="degrees"):
+            board.check()
+        board.deg[1, 5] += 1
+        board.q += 1
+        with pytest.raises(VerificationError, match="Q = "):
+            board.check()
 
     def test_rejects_empty_board(self):
         for n in (1, 2):
@@ -151,7 +185,7 @@ def _reference_boards() -> list:
             for removed in (frozenset(), frozenset(holes)):
                 boards.append(pytest.param(
                     TorusGraph(n, kind, removed),
-                    id=f"n{n}-{kind.value}-{'punctured' if removed else 'full'}",
+                    id=f"n{n}-{_kind_id(kind)}-{'punctured' if removed else 'full'}",
                 ))
     return boards
 
@@ -165,7 +199,7 @@ class TestReferenceBoards:
             assert (rec.q, rec.d_min, rec.d_max) == brute_force_step(g, placed)
 
     def test_debug_mode_agrees(self, g):
-        assert run_greedy(g, 1, 1.0, debug=True) == run_greedy(g, 1, 1.0)
+        replay_checked(g, run_greedy(g, 1, 1.0))
 
 
 class TestEnvelope:
@@ -253,7 +287,7 @@ class TestKnuthEstimator:
         est = knuth_count_estimator(g, trials=5000, seed=1)
         assert abs(est - want) <= 0.10 * want
 
-    @pytest.mark.parametrize("kind", list(BoardKind))
+    @pytest.mark.parametrize("kind", list(BoardKind), ids=_kind_id)
     @pytest.mark.parametrize("punctured", [False, True])
     def test_one_trial_is_the_trace_product(self, kind, punctured):
         # Both kernels draw the r-th live edge in (x, y) order for r
