@@ -6,7 +6,8 @@ builders proceed through named phases and every public entry point
 re-verifies its own output bit-exactly, raising :class:`VerificationError`
 rather than returning a wrong answer.  Each phase accumulates into an
 edge set it created, with the in-place ``add`` / ``+=`` of
-:class:`~torq.lattice.SignedEdgeSet`, and never changes its arguments;
+:class:`~torq.lattice.SignedEdgeSet` (:func:`bidc_reduce` tallies by
+(x, y) and builds its set once), and never changes its arguments;
 :func:`decompose_bounded` and :func:`cover_leave` keep
 ``target - shadow(phi)`` current edge by edge instead of recomputing it.
 
@@ -402,12 +403,14 @@ def bidc_reduce(v: SupportVector) -> DecompositionResult:
     if any(red.classes.values()):
         raise VerificationError("class residual nonzero after carries")
 
-    phi = SignedEdgeSet(n)
+    # One tally per (x, y); the constructor checks each distinct edge once.
+    tally: dict[tuple[int, int], int] = {}
     phase_gadgets: Counter[str] = Counter()
     for phase, mult, a, b, c, s in red.steps:
         phase_gadgets[phase] += abs(mult)
         for x, y, sign in _q_step_edges(n, a, b, c, s):
-            phi.add(Edge(x, y), sign * mult)
+            tally[x, y] = tally.get((x, y), 0) + sign * mult
+    phi = SignedEdgeSet(n, {Edge(x, y): m for (x, y), m in tally.items()})
     if shadow(phi) != v:
         raise VerificationError("reduced edge set does not shadow the target")
     if phi.size() > bidc_size_bound(v.size(), n):
@@ -687,7 +690,8 @@ def cover_leave(leave: SupportVector, radius: int) -> DecompositionResult:
 
     Conditions: (1) weights in {0, 1}; (2) support inside the square
     interval of the given radius; (3) lattice membership; (4) balanced
-    centered-parity counts between the two diagonal parts.
+    centered-parity counts between the two diagonal parts.  The radius
+    must be below n / 2, and its power-of-2 ceiling at most n // 2.
     """
     check_vector(leave, leave.n, "queens")
     n = leave.n
@@ -709,7 +713,9 @@ def cover_leave(leave: SupportVector, radius: int) -> DecompositionResult:
     t = 2
     while t < max(radius, 2):
         t *= 2
-    if t > n // 2:
+    # At even n the square of radius n/2 reads -n/2 as +n/2, so a leave
+    # edge through -n/2 lifts to integer moments the finisher cannot clear.
+    if t > n // 2 or 2 * radius >= n:
         raise PreconditionError("radius-range", f"radius {radius} too large for n={n}")
 
     # phi grows step by step and r = leave - shadow(phi) is kept current;

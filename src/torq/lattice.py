@@ -2,11 +2,15 @@
 and exact lattice-membership tests.
 
 ``SupportVector`` (vertex weights) and ``SignedEdgeSet`` (edge
-multiplicities) are one sparse counter: every sum of vectors or edge
-sets in torq, including the shadow map and each phase of
-:mod:`torq.decomp`, goes through their ``add`` / ``+=`` /
-``add_edge``, which check keys and drop zeros.  Their ``from_json``
-rejects malformed input with a PreconditionError naming the field path.
+multiplicities) are one sparse counter: sums of vectors or edge sets go
+through their ``add`` / ``+=`` / ``add_edge``, which check keys and
+drop zeros.  Two builders on the decomposition path sum in plain dicts
+first, in one pass: :func:`shadow` stores its non-zero part sums
+unchecked, as every vertex comes from an edge its ``SignedEdgeSet``
+already checked, and ``torq.decomp.bidc_reduce`` tallies its Q-step
+edges by (x, y) and checks each distinct edge once, through the
+constructor.  Their ``from_json`` rejects malformed input with a
+PreconditionError naming the field path.
 
 The edge lattice L of a board is the integer span of the shadows of its
 edges.  Membership is characterised by part-sum equalities together with
@@ -228,7 +232,8 @@ class SignedEdgeSet(_Counter):
         return {
             "n": self.n,
             "entries": [
-                {"x": e.x, "y": e.y, "mult": m} for e, m in sorted(self.entries.items())
+                {"x": x, "y": y, "mult": m}
+                for x, y, m in sorted((e.x, e.y, m) for e, m in self.entries.items())
             ],
         }
 
@@ -287,10 +292,30 @@ def edge_shadow(n: int, e: Edge, kind: str = "queens") -> SupportVector:
 
 def shadow(phi: SignedEdgeSet, kind: str = "queens") -> SupportVector:
     """The boundary map: each vertex receives the signed sum of the
-    multiplicities of edges containing it."""
-    out = SupportVector(phi.n, kind=kind)
+    multiplicities of edges containing it.
+
+    One pass sums the multiplicities of each part in a plain dict, and
+    only the non-zero sums are stored.  No vertex is checked: each comes
+    from an edge that ``phi`` checked when it was added.
+    """
+    n = phi.n
+    out = SupportVector(n, kind=kind)
+    xs: dict[int, int] = {}
+    ys: dict[int, int] = {}
+    ss: dict[int, int] = {}
+    ds: dict[int, int] = {}
     for e, m in phi.entries.items():
-        out.add_edge(e, m)
+        x, y = e.x, e.y
+        xs[x] = xs.get(x, 0) + m
+        ys[y] = ys.get(y, 0) + m
+        s, d = (x + y) % n, (x - y) % n
+        ss[s] = ss.get(s, 0) + m
+        ds[d] = ds.get(d, 0) + m
+    # zip stops at a semi vector's three parts, dropping the D sums.
+    for part, sums in zip(out._parts, (xs, ys, ss, ds)):
+        for c, w in sums.items():
+            if w:
+                out.entries[Vertex(part, c)] = w
     return out
 
 

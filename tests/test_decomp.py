@@ -23,7 +23,9 @@ from torq.board import (
 )
 from torq.decomp import (
     Cascade,
+    _BinaryReducer,
     _links,
+    _q_step_edges,
     _spiral,
     build_cascade,
     bidc_reduce,
@@ -39,11 +41,13 @@ from torq.errors import CapacityError, PreconditionError
 from torq.lattice import (
     Generator,
     SignedEdgeSet,
+    check_sublattice_S,
     edge_shadow,
     expand,
     shadow,
     sv,
 )
+from shadow_reference import checked_shadow
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -148,6 +152,36 @@ class TestBidcReduce:
         with pytest.raises(PreconditionError) as exc:
             bidc_reduce(sv(31, [(Part.S, 0, 1)]))
         assert exc.value.condition == "sum"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 40), st.data())
+    def test_tally_equals_a_checked_replay(self, n, data):
+        # A sum of the q-gens that are sum-part members, at every n mod 6.
+        param = st.integers(0, n - 1)
+        qgens = data.draw(st.lists(
+            st.builds(Generator, st.just("q-gen"), st.tuples(param, param, param, param),
+                      st.sampled_from([1, -1])),
+            min_size=1, max_size=3,
+        ))
+        v = sv(n, [])
+        for g in qgens:
+            if check_sublattice_S(expand(n, g)):
+                v = v + expand(n, g)
+        reducers = []
+
+        class Spy(_BinaryReducer):
+            def __init__(self, n):
+                super().__init__(n)
+                reducers.append(self)
+
+        with mock.patch("torq.decomp._BinaryReducer", Spy):
+            phi = bidc_reduce(v).phi
+        replay = SignedEdgeSet(n)
+        for _, mult, a, b, c, s in reducers[0].steps:
+            for x, y, sign in _q_step_edges(n, a, b, c, s):
+                replay.add(Edge(x, y), sign * mult)
+        assert phi == replay
+        assert 0 not in phi.entries.values()
 
 
 class TestDecomposeBounded:
@@ -270,6 +304,12 @@ class TestZeroSumSupport:
             assert all(v.part in (Part.X, Part.Y) for v in cleared.support())
 
 
+#: Centered cells whose edge lies inside the square of radius 4.
+CELLS_IN_RADIUS_4 = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
+    lambda c: abs(c[0] + c[1]) <= 4 and abs(c[0] - c[1]) <= 4
+)
+
+
 class TestCoverLeave:
     def leave_from_matching(self, rng, n, k, r):
         v = sv(n, [])
@@ -320,6 +360,29 @@ class TestCoverLeave:
             cover_leave(v, 5)
         assert exc.value.condition == "radius-range"
 
+    def test_radius_half_an_even_side_is_out_of_range(self):
+        # At n = 8, radius 4 reads centered -4 as +4: this leave, whose D
+        # vertex is -4, once reached the finisher and failed verification.
+        v = edge_shadow(8, edge_at_centered(8, -2, 2))
+        with pytest.raises(PreconditionError) as exc:
+            cover_leave(v, 4)
+        assert exc.value.condition == "radius-range"
+        inside = edge_shadow(8, edge_at_centered(8, 1, 2))  # radius 3 keeps out 4
+        assert shadow(cover_leave(inside, 3).phi) == inside
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(8, 40), st.lists(CELLS_IN_RADIUS_4, min_size=1, max_size=2))
+    def test_exact_on_small_leaves(self, n, cells):
+        # One or two disjoint edges inside radius 4, every n mod 6.
+        edges = [edge_at_centered(n, cx, cy) for cx, cy in cells]
+        assume(verify_matching(TorusGraph(n), edges).valid)
+        leave = checked_shadow(SignedEdgeSet(n, dict.fromkeys(edges, 1)))
+        try:
+            res = cover_leave(leave, 4)
+        except PreconditionError:
+            assume(False)
+        assert shadow(res.phi) == checked_shadow(res.phi) == leave
+
 
 def assert_matching_pair_shadows(n, m1, m2, leave):
     """m1 and m2 are matchings of T(n), and m1 - m2 shadows leave."""
@@ -330,12 +393,6 @@ def assert_matching_pair_shadows(n, m1, m2, leave):
         for e in m:
             union.add(e, sign)
     assert shadow(union) == leave
-
-
-#: Centered cells whose edge lies inside the square of radius 4.
-CELLS_IN_RADIUS_4 = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
-    lambda c: abs(c[0] + c[1]) <= 4 and abs(c[0] - c[1]) <= 4
-)
 
 
 class TestToMatchingPair:

@@ -24,6 +24,7 @@ from torq.lattice import (
     shadow,
     sv,
 )
+from shadow_reference import checked_shadow
 
 
 def random_member(rng: random.Random, n: int, k: int, kind: str = "queens"):
@@ -33,6 +34,23 @@ def random_member(rng: random.Random, n: int, k: int, kind: str = "queens"):
         e = Edge(rng.randrange(n), rng.randrange(n))
         total = total + edge_shadow(n, e, kind).scaled(rng.choice((-1, 1)))
     return total
+
+
+@st.composite
+def signed_edge_sets(draw):
+    """A signed edge set at n in 1..40 (every n mod 6), summed from up to
+    12 multiplicities in +-1..+-3 on at most 6 edges, so that edges
+    repeat and some cancel."""
+    n = draw(st.integers(1, 40))
+    coord = st.integers(0, n - 1)
+    pool = draw(st.lists(st.builds(Edge, coord, coord), min_size=1, max_size=6))
+    phi = SignedEdgeSet(n)
+    for e, m in draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+        max_size=12,
+    )):
+        phi.add(e, m)
+    return phi
 
 
 def sq_vec(n: int, a: int, b: int, c: int) -> SupportVector:
@@ -177,6 +195,22 @@ class TestShadows:
     def test_semi_shadow_has_no_d(self):
         v = edge_shadow(5, Edge(1, 2), kind="semi")
         assert v.size() == 3 and v.part_stats()[Part.D].sum == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(signed_edge_sets(), st.sampled_from(["queens", "semi"]))
+    def test_shadow_is_the_checked_sum_of_edge_shadows(self, phi, kind):
+        v = shadow(phi, kind)
+        assert v == checked_shadow(phi, kind)
+        assert 0 not in v.entries.values()
+        for u in v.entries:
+            v._check(u)
+
+    @settings(max_examples=50, deadline=None)
+    @given(signed_edge_sets())
+    def test_edge_set_json_lists_entries_sorted(self, phi):
+        assert phi.to_json()["entries"] == [
+            {"x": e.x, "y": e.y, "mult": m} for e, m in sorted(phi.entries.items())
+        ]
 
 
 class TestQueensLattice:
