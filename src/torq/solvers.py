@@ -1,11 +1,15 @@
 """Exact solvers and explicit constructions on small boards.
 
 Backtracking counters for the classical, toroidal, and semi-queens
-problems; a branch-and-bound maximum partial toroidal solution matching
-Monsky's closed form; and the removed-vertex construction that turns a
-perfect matching of a punctured torus into a classical n-queens
-placement whose only toroidal attacks are six pairs among twelve fixed
-queens (three pairs on each diagonal family).
+problems, which still give the published counts but search one solution
+per orbit of the column translation (torus) or of the mirror y -> n-1-y
+(classical queens; the mirror swaps the two diagonal families, so
+classical semi-queens get the full search); a branch-and-bound maximum
+partial toroidal solution matching Monsky's closed form; and the
+removed-vertex construction that turns a perfect matching of a
+punctured torus into a classical n-queens placement whose only
+toroidal attacks are six pairs among twelve fixed queens (three pairs
+on each diagonal family).
 
 Every search keeps its state in int bitmasks: the columns and diagonals
 blocked in the current row, the WSet search's used elements and
@@ -56,8 +60,10 @@ def _check_n(n: int, bound: int | None, default: int) -> None:
 def count_classical(n: int, bound: int | None = None) -> int:
     """Exact number of n-queens placements on the classical board.
 
-    Row-by-row backtracking with column/diagonal bitmasks and no
-    symmetry reduction, so the value matches the published sequence.
+    Row-by-row backtracking with column/diagonal bitmasks, counting the
+    columns of row 0's queen up to the mirror y -> n-1-y (see
+    _count_rows); the value is still the full count of the published
+    sequence (OEIS A000170).
     """
     _check_n(n, bound, DEFAULT_EXHAUSTIVE_BOUND)
     return _count_rows(n, torus=False, semi=False)
@@ -87,6 +93,16 @@ def _count_rows(n: int, torus: bool, semi: bool) -> int:
     Semi-queens keep only the sum family, so their d is masked to 0.
     The loop body is picked once per call: wrap terms in the classical
     body would cost every node.
+
+    Each count searches one solution per symmetry orbit and multiplies
+    back, so it still equals the unreduced count.  On the torus, queens
+    and semi-queens alike, moving every queen one column right maps
+    solutions to solutions and fixes none (row 0's queen moves), so the
+    count is n times the solutions with row 0's queen at column 0.  On
+    the classical board the mirror y -> n-1-y sends row 0's column c to
+    n-1-c, so columns below n/2 count twice and an odd n's middle column
+    once.  Classical semi-queens get the full search: the mirror turns
+    sum diagonals into difference diagonals, which they do not constrain.
     """
     full = (1 << n) - 1
     dmask = 0 if semi else full
@@ -115,7 +131,19 @@ def _count_rows(n: int, torus: bool, semi: bool) -> int:
             count += rotate(cols | bit, (d1 << 1 | d1 >> top) & dmask, s1 >> 1 | (s1 & 1) << top)
         return count
 
-    return (rotate if torus else shift)(0, 0, 0)
+    if torus:
+        # Row 0's queen at column 0 blocks row 1's column 0, difference
+        # column 1 and sum column n - 1 (n = 1 is done at once).
+        return n * rotate(1, 2 & dmask, 1 << top)
+    if semi:
+        return shift(0, 0, 0)
+
+    def row0(c: int) -> int:
+        bit = 1 << c
+        return shift(bit, bit << 1 & full, bit >> 1)
+
+    mirrored = 2 * sum(row0(c) for c in range(n // 2))
+    return mirrored + row0(n // 2) if n % 2 else mirrored
 
 
 def monsky_value(n: int) -> int:
@@ -256,16 +284,26 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
     enough disjoint small-sum pairs left for the remaining octets.  The
     used elements and diagonal classes are bitmasks passed down the
     recursion; every (a, b) probe counts as one node against node_limit.
+    The small-pair count depends only on the used elements in 1..n//2,
+    so each call memoises it by them.
     """
     if n < 26:
         raise PreconditionError("n", "need n >= 26 for 24 distinct elements")
     case, delta = _wset_case(n)
     half = n // 2
-    # The congruence depends on sum(a_i+b_i+c_i-d_i) only mod 12.
-    congruent = [_congruence_holds(n, case, t) for t in range(12)]
     elements = (1 << (n + 1)) - 2
+    low = (2 << half) - 2  # elements, or differences, 1..half
+    # The congruence depends on sum(a_i+b_i+c_i-d_i) only mod 12: bit t
+    # of congruent_ts[r] is set when a last difference t in 1..half
+    # satisfies it at a running total of r.
+    congruent_ts = [
+        sum(1 << t for t in range(1, half + 1) if _congruence_holds(n, case, r + t))
+        for r in range(12)
+    ]
     octets: list[tuple[int, ...]] = []
     nodes = 0
+    # small_pairs_available's pair count, by the used elements in 1..half.
+    pair_counts: dict[int, int] = {}
 
     # In the masks below, bit e of used is element e of 1..n, and bit v
     # of svals / dvals is sum / difference class v mod n.  As 0 < delta
@@ -277,13 +315,17 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
         # elements counts the largest number of disjoint such pairs.
         if needed <= 0:
             return True
-        free = [e for e in range(1, half + 1) if not used >> e & 1]
-        lo, hi, pairs = 0, len(free) - 1, 0
-        while lo < hi:
-            if free[lo] + free[hi] <= half:
-                pairs += 1
-                lo += 1
-            hi -= 1
+        key = used & low
+        pairs = pair_counts.get(key)
+        if pairs is None:
+            free = [e for e in range(1, half + 1) if not key >> e & 1]
+            lo, hi, pairs = 0, len(free) - 1, 0
+            while lo < hi:
+                if free[lo] + free[hi] <= half:
+                    pairs += 1
+                    lo += 1
+                hi -= 1
+            pair_counts[key] = pairs
         return pairs >= needed
 
     def sum_pair(i: int, used: int, svals: int, dvals: int) -> Iterator[None]:
@@ -326,17 +368,15 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
         # next octet's sum pair, or the finished WSet after octet 2.
         free = elements & ~used
         svals2 = svals | svals << n  # bit v is class v mod n, for v < 2n
+        # Bit t of ts is set when the difference t = c - d in 1..half
+        # passes every test that does not involve c itself: classes t and
+        # (t + delta) mod n unused, and at octet 2 the congruence.
+        ts = low & ~(dvals | dvals >> delta | dvals << (n - delta))
         if i == 2:
             base = sum(t[0] + t[1] + t[4] - t[5] for t in octets) + abxy[0] + abxy[1]
-        # Bit half - t of diffs is set when the difference t = c - d in
-        # 1..half passes every test that does not involve c itself.
-        diffs = 0
-        for t in range(1, half + 1):
-            if dvals >> t & 1 or dvals >> (t + delta) % n & 1:
-                continue
-            if i == 2 and not congruent[(base + t) % 12]:
-                continue
-            diffs |= 1 << (half - t)
+            ts &= congruent_ts[base % 12]
+        # diffs holds the same set with t at bit half - t.
+        diffs = int(f"{ts:0{half + 1}b}"[::-1], 2)
         cs = free
         while cs:
             cbit = cs & -cs

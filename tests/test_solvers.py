@@ -1,7 +1,10 @@
 """Exhaustive counters, the maximum-partial branch and bound, and the
 classical extension pipeline."""
 
+import functools
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -23,6 +26,7 @@ from torq.solvers import (
     wset_from_tuples,
 )
 
+from count_reference import count_rows
 from wset_data import EXTENDABLE_TUPLES
 
 # The first three WSets wset_candidates(n) yields, in order.
@@ -121,6 +125,28 @@ class TestCounters:
     def test_semiqueens_known_value(self):
         assert count_semiqueens(3) == 3
 
+    @pytest.mark.parametrize(
+        "counter,torus,semi",
+        [
+            (count_classical, False, False),
+            (count_toroidal, True, False),
+            (count_semiqueens, True, True),
+            (functools.partial(count_semiqueens, mode="classical"), False, True),
+        ],
+        ids=["classical", "toroidal", "semiqueens", "semiqueens-classical"],
+    )
+    def test_orbit_counts_equal_the_full_search(self, counter, torus, semi):
+        # The counters search one solution per symmetry orbit; the
+        # reference searches every solution.
+        for n in range(1, 12):
+            assert counter(n) == count_rows(n, torus, semi), n
+
+    def test_published_values_at_13(self):
+        # OEIS A000170, A051906 and A006717.
+        assert count_classical(13) == 73_712
+        assert count_toroidal(13) == 4_524
+        assert count_semiqueens(13) == 1_030_367
+
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             count_classical(20)
@@ -196,6 +222,15 @@ class TestWSet:
     def test_candidate_order(self, n):
         got = [w.tuples for w in itertools.islice(wset_candidates(n), 3)]
         assert tuple(got) == FIRST_WSETS[n]
+
+    @pytest.mark.parametrize(
+        "n,digest",
+        [(28, "1e82e9a401a5fbbd"), (30, "094ca26a1c173a57"), (32, "d87dc848e2e472fe")],
+    )
+    def test_first_forty_candidates(self, n, digest):
+        # SHA-256 prefix of json.dumps of the first 40 WSets' tuples.
+        got = [w.tuples for w in itertools.islice(wset_candidates(n), 40)]
+        assert hashlib.sha256(json.dumps(got).encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize(
         "n,nodes", [(28, 670_235), (30, 314_819), (32, 84_000), (33, 507)]
