@@ -19,7 +19,6 @@ derived view used for interval geometry.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -199,10 +198,14 @@ class TorusGraph:
     def has_edge(self, e: Edge) -> bool:
         return all(self.has_vertex(v) for v in self.edge_vertices(e))
 
+    def removed_mask(self) -> int:
+        """An int with bit vertex_index(n, v) for each removed vertex v:
+        an edge is live exactly when its edge mask misses it."""
+        return sum(1 << vertex_index(self.n, v) for v in self.removed)
+
     def edges(self) -> list[tuple[Edge, int]]:
         """The live edges with their edge masks, in (x, y) order."""
-        n = self.n
-        dead = sum(1 << vertex_index(n, v) for v in self.removed)
+        n, dead = self.n, self.removed_mask()
         every = (Edge(x, y) for x in range(n) for y in range(n))
         return [(e, mask) for e in every if not (mask := self.edge_mask(e)) & dead]
 
@@ -267,12 +270,14 @@ def verify_matching(
 
 
 def _first_matching(
-    rows: Sequence[Sequence[tuple[Edge, int]]], node_cap: int, deadline: float | None = None
+    rows: Sequence[Sequence[tuple[Edge, int]]], node_cap: int
 ) -> tuple[list[Edge] | None, bool]:
     """The first pick of one (edge, edge mask) candidate per row, in the
     order listed, whose masks are pairwise disjoint; or None.  Each row
-    visited is a node, and the search stops past node_cap nodes or the
-    time.monotonic() deadline.  The flag says it stopped early."""
+    visited is a node, and the search stops past node_cap nodes; the
+    flag says it stopped early.  Nodes are its only budget: it never
+    reads the clock, so a caller with a deadline checks it between
+    calls, and the answer does not depend on machine speed."""
     chosen: list[Edge] = []
     nodes = 0
     truncated = False
@@ -282,7 +287,7 @@ def _first_matching(
         if idx == len(rows):
             return True
         nodes += 1
-        if nodes > node_cap or (deadline is not None and time.monotonic() > deadline):
+        if nodes > node_cap:
             truncated = True
             return False
         for e, mask in rows[idx]:

@@ -979,7 +979,7 @@ def build_cascade(g: TorusGraph, e: Edge, targets: Sequence[Edge]) -> Cascade:
         if t_mask & used != shared:
             raise PreconditionError("cascade-overlap", f"target {i} reuses earlier vertices")
         used |= t_mask
-    used |= sum(1 << vertex_index(n, v) for v in g.removed)
+    used |= g.removed_mask()
 
     # Primary configuration: contains the seed edge positively, avoids
     # every other used vertex; two free parameters.

@@ -16,8 +16,12 @@ blocked in the current row, the WSet search's used elements and
 classes, and in the punctured-torus matching search (``torq.board``'s
 shared DFS) the union of the chosen squares' edge masks, which each
 candidate is tested against in one AND.  Search budgets count restarts
-and nodes, so the answer never depends on machine speed; wall clock
-only aborts a run.
+and nodes, so the answer never depends on machine speed.  Wall clock
+only aborts a run, and the punctured-torus search reads it only between
+restarts and between WSets: a timeout overruns by at most one
+50,000-node restart plus the walk to the next WSet, which the WSet
+search does not interrupt.  A WSet verifies its invariants when it is
+built.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from random import Random
 from typing import Iterator
 
 from .board import (
+    Edge,
     Matching,
     Part,
     TorusGraph,
@@ -211,13 +216,43 @@ class WSet:
     W removes 12 vertices per part: the rows, columns, and the nine used
     diagonal classes, padded to twelve by three spare diagonals per
     family offset by delta (n/6, n/2, or n/3 by divisibility case).
+    Every construction, dataclasses.replace included, verifies these
+    invariants, so an unverified WSet cannot exist.
     """
 
     n: int
-    case: str  # "even-3div" | "even-3ndiv" | "odd-3div"
     tuples: tuple[tuple[int, int, int, int, int, int, int, int], ...]
-    delta: int
-    removed_vertices: frozenset[Vertex]
+
+    def __post_init__(self) -> None:
+        _verify_wset(self)
+
+    @property
+    def case(self) -> str:
+        """The divisibility case: "even-3div", "even-3ndiv" or "odd-3div"."""
+        return _wset_case(self.n)[0]
+
+    @property
+    def delta(self) -> int:
+        return _wset_case(self.n)[1]
+
+    @property
+    def removed_vertices(self) -> frozenset[Vertex]:
+        """W as board vertices.  Elements of 1..n convert to residues by
+        v -> v-1 on rows/columns; a sum-diagonal value sigma (of
+        1-indexed squares) is the S residue sigma-2, a difference value
+        is unchanged."""
+        n, delta = self.n, self.delta
+        out: set[Vertex] = set()
+        for a, b, x, y, c, d, w, z in self.tuples:
+            for row in (a, x, c, w):
+                out.add(Vertex(Part.X, row - 1))
+            for col in (b, y, d, z):
+                out.add(Vertex(Part.Y, col - 1))
+            for sigma in (a + b, c + d, w + z, a + b + delta):
+                out.add(Vertex(Part.S, (sigma - 2) % n))
+            for diff in (a - b, x - y, c - d, c - d + delta):
+                out.add(Vertex(Part.D, diff % n))
+        return frozenset(out)
 
     def fixed_queens(self) -> tuple[tuple[int, int], ...]:
         """The 12 queens, as 0-indexed board squares."""
@@ -246,27 +281,6 @@ def _congruence_holds(n: int, case: str, total: int) -> bool:
     if case == "even-3ndiv":
         return (2 + n + 2 * total) % 4 == 0
     return (1 + 2 * total) % 3 == 0
-
-
-def _removed_vertices(
-    n: int,
-    tuples: tuple[tuple[int, int, int, int, int, int, int, int], ...],
-    delta: int,
-) -> frozenset[Vertex]:
-    """W as board vertices.  Elements of 1..n convert to residues by
-    v -> v-1 on rows/columns; a sum-diagonal value sigma (of 1-indexed
-    squares) is the S residue sigma-2, a difference value is unchanged."""
-    out: set[Vertex] = set()
-    for a, b, x, y, c, d, w, z in tuples:
-        for row in (a, x, c, w):
-            out.add(Vertex(Part.X, row - 1))
-        for col in (b, y, d, z):
-            out.add(Vertex(Part.Y, col - 1))
-        for sigma in (a + b, c + d, w + z, a + b + delta):
-            out.add(Vertex(Part.S, (sigma - 2) % n))
-        for diff in (a - b, x - y, c - d, c - d + delta):
-            out.add(Vertex(Part.D, diff % n))
-    return frozenset(out)
 
 
 def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
@@ -308,6 +322,7 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
     # In the masks below, bit e of used is element e of 1..n, and bit v
     # of svals / dvals is sum / difference class v mod n.  As 0 < delta
     # < n, the two classes a pair adds to one family always differ.
+    # total is the running sum of a + b + c - d over the pairs placed.
 
     def small_pairs_available(needed: int, used: int) -> bool:
         # Each octet still to build consumes a distinct pair of elements
@@ -328,7 +343,7 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
             pair_counts[key] = pairs
         return pairs >= needed
 
-    def sum_pair(i: int, used: int, svals: int, dvals: int) -> Iterator[None]:
+    def sum_pair(i: int, used: int, svals: int, dvals: int, total: int) -> Iterator[None]:
         # Octet i's (a, b) and (x, y), with x + y = a + b + n.
         nonlocal nodes
         for a in range(1, half):
@@ -358,11 +373,11 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
                         continue
                     yield from difference_pair(
                         i, (a, b, x, y), u_ab | 1 << x | 1 << y,
-                        svals | s_ab, dvals | d_ab | d_xy,
+                        svals | s_ab, dvals | d_ab | d_xy, total + a + b,
                     )
 
     def difference_pair(
-        i: int, abxy: tuple[int, int, int, int], used: int, svals: int, dvals: int
+        i: int, abxy: tuple[int, int, int, int], used: int, svals: int, dvals: int, total: int
     ) -> Iterator[None]:
         # Octet i's (c, d) and (w, z), with w - z = c - d - n; then the
         # next octet's sum pair, or the finished WSet after octet 2.
@@ -373,8 +388,7 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
         # (t + delta) mod n unused, and at octet 2 the congruence.
         ts = low & ~(dvals | dvals >> delta | dvals << (n - delta))
         if i == 2:
-            base = sum(t[0] + t[1] + t[4] - t[5] for t in octets) + abxy[0] + abxy[1]
-            ts &= congruent_ts[base % 12]
+            ts &= congruent_ts[total % 12]
         # diffs holds the same set with t at bit half - t.
         diffs = int(f"{ts:0{half + 1}b}"[::-1], 2)
         cs = free
@@ -408,11 +422,13 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
                         if i == 2:
                             yield None
                         else:
-                            yield from sum_pair(i + 1, u, svals | s_cd | s_wz, dvals | d_cd)
+                            yield from sum_pair(
+                                i + 1, u, svals | s_cd | s_wz, dvals | d_cd, total + t
+                            )
                     octets.pop()
 
-    for _ in sum_pair(0, 0, 0, 0):
-        yield wset_from_tuples(n, tuple(octets))
+    for _ in sum_pair(0, 0, 0, 0, 0):
+        yield WSet(n, tuple(octets))
 
 
 def build_wset(n: int) -> WSet:
@@ -426,35 +442,30 @@ def build_wset(n: int) -> WSet:
 def wset_from_tuples(
     n: int, tuples: tuple[tuple[int, int, int, int, int, int, int, int], ...]
 ) -> WSet:
-    """Rebuild a WSet from its three octets, re-verifying every invariant."""
-    case, delta = _wset_case(n)
-    wset = WSet(n, case, tuples, delta, _removed_vertices(n, tuples, delta))
-    _verify_wset(wset)
-    return wset
+    """WSet(n, tuples), which verifies every invariant itself."""
+    return WSet(n, tuples)
 
 
 def _verify_wset(w: WSet) -> None:
-    """Re-check every WSet invariant on a constructed instance."""
+    """Check every WSet invariant; WSet.__post_init__ runs this.  With
+    24 distinct elements, W's 48 vertices are 12 per part exactly when
+    its 12 sum and 12 difference classes are distinct mod n."""
     n, half = w.n, w.n // 2
+    case, _ = _wset_case(n)
     elements = [e for t in w.tuples for e in t]
     if len(set(elements)) != 24 or not all(1 <= e <= n for e in elements):
         raise VerificationError("WSet elements not 24 distinct members of 1..n")
-    svals, dvals = set(), set()
     total = 0
     for a, b, x, y, c, d, wv, z in w.tuples:
         if not (1 <= a + b <= half and x + y == a + b + n):
             raise VerificationError("sum-pair constraint violated")
         if not (1 <= c - d <= half and wv - z == c - d - n):
             raise VerificationError("difference-pair constraint violated")
-        svals.update(v % n for v in (a + b, c + d, wv + z, a + b + w.delta))
-        dvals.update(v % n for v in (a - b, x - y, c - d, c - d + w.delta))
         total += a + b + c - d
-    if len(svals) != 12 or len(dvals) != 12:
-        raise VerificationError("diagonal classes of W not distinct mod n")
-    if not _congruence_holds(n, w.case, total):
-        raise VerificationError("case congruence violated")
     if len(w.removed_vertices) != 48:
-        raise VerificationError("W must remove 12 vertices in each part")
+        raise VerificationError("diagonal classes of W not distinct mod n")
+    if not _congruence_holds(n, case, total):
+        raise VerificationError("case congruence violated")
 
 
 def _punctured(n: int, w: WSet) -> TorusGraph:
@@ -481,10 +492,13 @@ class ClassicalExtension:
     matching plus the 12 fixed queens."""
 
     n: int
-    queens: tuple[tuple[int, int], ...]  # all n, fixed first
-    fixed_queens: tuple[tuple[int, int], ...]
+    queens: tuple[tuple[int, int], ...]  # all n, the 12 fixed ones first
     matching: Matching
     toroidal_attack_pairs: tuple[tuple[int, int], ...]  # indices into queens
+
+    @property
+    def fixed_queens(self) -> tuple[tuple[int, int], ...]:
+        return self.queens[:12]
 
     def to_json(self) -> dict:
         obj = placement_to_json(self.n, "classical", self.queens)
@@ -521,37 +535,40 @@ def extend_classical(
 
     Searches for a perfect matching of T(n) minus W by depth-first
     search with seed-shuffled row and column orders, restarting with a
-    fresh shuffle whenever a node cap is hit, at most _RESTARTS times
-    and within the wall-clock budget.  A found matching is combined with
-    the 12 fixed queens and the result is fully verified before being
-    returned: no classical attacks, and exactly six toroidal attack
-    pairs, all among the fixed queens.  Raises CapacityError when the
-    restarts or the budget run out,
+    fresh shuffle whenever the cap of 50,000 nodes is hit, at most
+    _RESTARTS times.  The clock is read only between restarts: the
+    budget can stop the next restart, never a running one, so a run
+    overruns budget_seconds by at most one restart and the budget never
+    picks the answer.  w verified itself when it was built.  A found
+    matching is combined with the 12 fixed queens and the result is
+    fully verified before being returned: no classical attacks, and
+    exactly six toroidal attack pairs, all among the fixed queens.
+    Raises CapacityError when the restarts or the budget run out,
     PreconditionError("budget_seconds") for a NaN budget, whose deadline
     would never pass, and PreconditionError("n") when w is for another n.
     """
     if math.isnan(budget_seconds):
         raise PreconditionError("budget_seconds", "must be a number of seconds, got nan")
-    _verify_wset(w)
     tstar = _punctured(n, w)
-    rows = [r for r in range(n) if Vertex(Part.X, r) not in tstar.removed]
-    cols = [c for c in range(n) if Vertex(Part.Y, c) not in tstar.removed]
-    squares = {(e.x, e.y): (e, mask) for e, mask in tstar.edges()}
+    dead = tstar.removed_mask()
+    rows = [r for r in range(n) if not dead >> r & 1]
+    cols = [c for c in range(n) if not dead >> (n + c) & 1]
     deadline = time.monotonic() + budget_seconds
 
     for restart in range(_RESTARTS):
-        if time.monotonic() > deadline:
+        if time.monotonic() >= deadline:
             break
         rng = Random((seed << 20) + restart)
         order = rows[:]
         rng.shuffle(order)
-        # One candidate list per row, in the shuffled column order, with
-        # squares on removed diagonals dropped.
+        # One candidate list per live row, in the shuffled order of the
+        # live columns, with squares on removed diagonals dropped.
         choices = [
-            [squares[r, c] for c in rng.sample(cols, len(cols)) if (r, c) in squares]
+            [(e, m) for c in rng.sample(cols, len(cols))
+             if not (m := tstar.edge_mask(e := Edge(r, c))) & dead]
             for r in order
         ]
-        found, truncated = _first_matching(choices, 50_000, deadline)
+        found, truncated = _first_matching(choices, 50_000)
         if found is not None:
             return _assemble_extension(tstar, w, Matching.of(found))
         if not truncated:
@@ -578,15 +595,18 @@ def extend_classical_search(
     WSets in lexicographic order, giving each at most eight restarts of
     extend_classical's node-capped DFS (provably empty punctured tori
     are dismissed in one exhausted restart).  The answer depends only
-    on (n, seed); running out of budget_seconds aborts the walk with
-    CapacityError, it never moves on to another WSet.
+    on (n, seed).  The clock is read only between restarts and between
+    WSets, so running out of budget_seconds aborts the walk with
+    CapacityError after at most one more 50,000-node restart or the
+    walk to the next WSet (seconds at n = 26 and 27, where WSets come
+    seconds apart); it never moves on to another WSet.
     """
     deadline = time.monotonic() + budget_seconds
     for w in wset_candidates(n):
         try:
             return extend_classical(n, w, budget_seconds=deadline - time.monotonic(), seed=seed)
         except CapacityError:
-            if time.monotonic() > deadline:
+            if time.monotonic() >= deadline:
                 break
     raise CapacityError(
         f"no extendable removed-vertex set found within {budget_seconds} s for n={n}"
@@ -613,4 +633,4 @@ def _assemble_extension(tstar: TorusGraph, w: WSet, m: Matching) -> ClassicalExt
     )
     if s_pairs != 3:
         raise VerificationError("toroidal attacks must split 3 + 3 by diagonal family")
-    return ClassicalExtension(n, queens, fixed, m, pairs)
+    return ClassicalExtension(n, queens, m, pairs)

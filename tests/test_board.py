@@ -1,7 +1,5 @@
 """Board model: coordinates, wrap parity, intervals, graphs, matchings."""
 
-import time
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -164,7 +162,11 @@ def test_board_model_agrees_with_its_vertices(g):
     n = g.n
     every = [Edge(x, y) for x in range(n) for y in range(n)]
     assert [e for e, _ in g.edges()] == [e for e in every if g.has_edge(e)]
+    dead = g.removed_mask()
+    assert dead.bit_count() == len(g.removed)
+    assert {b for b in range(4 * n) if dead >> b & 1} == {vertex_index(n, v) for v in g.removed}
     for e, mask in g.edges():
+        assert not mask & dead
         vs = g.edge_vertices(e)
         assert [v.part for v in vs] == list(g.parts())
         bits = {vertex_index(n, v) for v in vs}
@@ -192,9 +194,6 @@ class TestFirstMatching:
 
     def test_node_cap_truncates(self):
         assert _first_matching(self.rows(6), 10) == (None, True)
-
-    def test_past_deadline_truncates(self):
-        assert _first_matching(self.rows(5), 1000, time.monotonic() - 1.0) == (None, True)
 
 
 class TestAttacks:

@@ -1,6 +1,7 @@
 """Exhaustive counters, the maximum-partial branch and bound, and the
 classical extension pipeline."""
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -213,6 +214,19 @@ class TestWSet:
         with pytest.raises(VerificationError):
             wset_from_tuples(30, tuple(tuple(o) for o in t))
 
+    def test_every_route_verifies(self):
+        # A WSet verifies itself however it is made, so no unverified
+        # one reaches extend_classical.
+        w = wset_from_tuples(30, EXTENDABLE_TUPLES[30])
+        assert WSet(30, EXTENDABLE_TUPLES[30]) == w
+        first, *rest = w.tuples
+        repeated = ((rest[0][0], *first[1:]), *rest)  # an element used twice
+        same_class = ((*first[:4], 14, 5, 8, 29), *rest)  # a diagonal class used twice
+        for bad, why in ((repeated, "24 distinct"), (same_class, "diagonal classes")):
+            for build in (lambda: WSet(30, bad), lambda: dataclasses.replace(w, tuples=bad)):
+                with pytest.raises(VerificationError, match=why):
+                    build()
+
     def test_no_case_for_solvable_sizes(self):
         with pytest.raises(PreconditionError) as exc:
             build_wset(29)
@@ -293,5 +307,10 @@ class TestExtendClassical:
             assert exc.value.condition == "budget_seconds"
 
     def test_search_timeout_aborts(self):
-        with pytest.raises(CapacityError, match="within 0.0 s"):
-            extend_classical_search(30, budget_seconds=0.0)
+        w = wset_from_tuples(30, EXTENDABLE_TUPLES[30])
+        for run, message in (
+            (lambda: extend_classical_search(30, budget_seconds=0.0), "within 0.0 s"),
+            (lambda: extend_classical(30, w, budget_seconds=0.0), "found within budget"),
+        ):
+            with pytest.raises(CapacityError, match=message):
+                run()
