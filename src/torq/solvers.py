@@ -12,16 +12,17 @@ toroidal attacks are six pairs among twelve fixed queens (three pairs
 on each diagonal family).
 
 Every search keeps its state in int bitmasks: the columns and diagonals
-blocked in the current row, the WSet search's used elements and
-classes, and in the punctured-torus matching search (``torq.board``'s
-shared DFS) the union of the chosen squares' edge masks, which each
-candidate is tested against in one AND.  Search budgets count restarts
-and nodes, so the answer never depends on machine speed.  Wall clock
-only aborts a run, and the punctured-torus search reads it only between
-restarts and between WSets: a timeout overruns by at most one
-50,000-node restart plus the walk to the next WSet, which the WSet
-search does not interrupt.  A WSet verifies its invariants when it is
-built.
+blocked in the current row; in the WSet search, one mask per attacking
+pair of the elements and diagonal classes it uses, so placing a pair
+filters the open pairs with one AND each; and in the punctured-torus
+matching search (``torq.board``'s shared DFS) the union of the chosen
+squares' edge masks, which each candidate is tested against in one AND.
+Search budgets count restarts and nodes, so the answer never depends on
+machine speed.  Wall clock only aborts a run, and the punctured-torus
+search reads it only between restarts and between WSets: a timeout
+overruns by at most one 50,000-node restart plus the walk to the next
+WSet, which the WSet search does not interrupt.  A WSet verifies its
+invariants when it is built.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import Iterator
 
@@ -235,12 +237,12 @@ class WSet:
     def delta(self) -> int:
         return _wset_case(self.n)[1]
 
-    @property
+    @cached_property
     def removed_vertices(self) -> frozenset[Vertex]:
-        """W as board vertices.  Elements of 1..n convert to residues by
-        v -> v-1 on rows/columns; a sum-diagonal value sigma (of
-        1-indexed squares) is the S residue sigma-2, a difference value
-        is unchanged."""
+        """W as board vertices, built once per WSet.  Elements of 1..n
+        convert to residues by v -> v-1 on rows/columns; a sum-diagonal
+        value sigma (of 1-indexed squares) is the S residue sigma-2, a
+        difference value is unchanged."""
         n, delta = self.n, self.delta
         out: set[Vertex] = set()
         for a, b, x, y, c, d, w, z in self.tuples:
@@ -286,27 +288,32 @@ def _congruence_holds(n: int, case: str, total: int) -> bool:
 def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
     """All WSets for n in lexicographic order of their flattened tuples.
 
-    Depth-first search over the free fields in the order a1, b1, x1, c1,
-    d1, w1, a2, ... (y_i and z_i are determined), taking values in
-    ascending order.  Two generators take turns: ``sum_pair`` places an
-    octet's (a, b, x, y), the pair attacking on a sum diagonal, and
-    ``difference_pair`` its (c, d, w, z), the pair attacking on a
-    difference diagonal, before recursing into the next octet's sum
-    pair.  The search prunes on element distinctness, on distinctness
-    mod n of the twelve sum and twelve difference diagonal classes, on
-    the case congruence once all a, b, c, d are fixed, and on having
-    enough disjoint small-sum pairs left for the remaining octets.  The
-    used elements and diagonal classes are bitmasks passed down the
-    recursion; every (a, b) probe counts as one node against node_limit.
-    The small-pair count depends only on the used elements in 1..n//2,
-    so each call memoises it by them.
+    Each call first lists every sum pair (a, b, x, y), the two queens
+    attacking on a sum diagonal, in ascending (a, b, x) order, and every
+    difference pair (c, d, w, z), the two attacking on a difference
+    diagonal, in ascending (c, d, w) order.  Each pair carries one int
+    mask of what it uses: bit e for element e of 1..n, bit n+1+v for sum
+    class v mod n and bit 2n+1+v for difference class v mod n, so two
+    pairs fit exactly when their masks AND to 0.  The search places
+    octet i's sum pair, then its difference pair, and each placement
+    filters both open lists with one AND per entry: the next octet's sum
+    pairs are the ones still open after this octet's difference pair.
+    Octet 2 pairs each open sum pair with each open difference pair that
+    fits it and passes the case congruence on sum(a_i+b_i+c_i-d_i).
+    Octets 0 and 1 also prune on having enough disjoint small-sum pairs
+    left for the octets after them.
+
+    node_limit counts (a, b) probes: each sum-pair level the search
+    enters walks a in 1..n//2-1 unused and b in 1..n//2-a.  The probes
+    are charged in bulk, from offsets each call memoises by the used
+    elements in 1..n//2, and CapacityError comes before any WSet whose
+    probe count is past the limit.
     """
     if n < 26:
         raise PreconditionError("n", "need n >= 26 for 24 distinct elements")
     case, delta = _wset_case(n)
     half = n // 2
-    elements = (1 << (n + 1)) - 2
-    low = (2 << half) - 2  # elements, or differences, 1..half
+    low = (2 << half) - 2  # elements 1..half
     # The congruence depends on sum(a_i+b_i+c_i-d_i) only mod 12: bit t
     # of congruent_ts[r] is set when a last difference t in 1..half
     # satisfies it at a running total of r.
@@ -314,15 +321,37 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
         sum(1 << t for t in range(1, half + 1) if _congruence_holds(n, case, r + t))
         for r in range(12)
     ]
+    # A pair is kept when its mask has eight bits: four distinct
+    # elements, two distinct sum classes and two distinct difference
+    # classes.
+    S, D = n + 1, 2 * n + 1  # the bits of sum and difference class 0
+    sums = []  # (mask, a, b, x, y), x + y = a + b + n
+    for a in range(1, half):
+        for b in range(1, half - a + 1):
+            s = a + b
+            m_ab = 1 << a | 1 << b | 1 << S + s | 1 << S + (s + delta) % n | 1 << D + (a - b) % n
+            for x in range(s, n + 1):
+                y = s + n - x
+                m = m_ab | 1 << x | 1 << y | 1 << D + (x - y) % n
+                if m.bit_count() == 8:
+                    sums.append((m, a, b, x, y))
+    diffs = []  # (mask, t, c, d, w, z), t = c - d in 1..half, w - z = t - n
+    for c in range(2, n + 1):
+        for d in range(max(1, c - half), c):
+            t = c - d
+            m_cd = 1 << c | 1 << d | 1 << S + (c + d) % n | 1 << D + t | 1 << D + (t + delta) % n
+            for w in range(1, t + 1):
+                z = w + n - t
+                m = m_cd | 1 << w | 1 << z | 1 << S + (w + z) % n
+                if m.bit_count() == 8:
+                    diffs.append((m, t, c, d, w, z))
     octets: list[tuple[int, ...]] = []
     nodes = 0
-    # small_pairs_available's pair count, by the used elements in 1..half.
+    # Per used elements in 1..half: small_pairs_available's pair count,
+    # and the probes made before each a's first b (the last entry is
+    # the level's whole count).
     pair_counts: dict[int, int] = {}
-
-    # In the masks below, bit e of used is element e of 1..n, and bit v
-    # of svals / dvals is sum / difference class v mod n.  As 0 < delta
-    # < n, the two classes a pair adds to one family always differ.
-    # total is the running sum of a + b + c - d over the pairs placed.
+    probe_offsets: dict[int, list[int]] = {}
 
     def small_pairs_available(needed: int, used: int) -> bool:
         # Each octet still to build consumes a distinct pair of elements
@@ -343,92 +372,72 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
             pair_counts[key] = pairs
         return pairs >= needed
 
-    def sum_pair(i: int, used: int, svals: int, dvals: int, total: int) -> Iterator[None]:
-        # Octet i's (a, b) and (x, y), with x + y = a + b + n.
+    def charge(probes: int) -> None:
         nonlocal nodes
-        for a in range(1, half):
-            if used >> a & 1:
+        nodes += probes
+        if nodes > node_limit:
+            raise CapacityError(f"WSet search exceeded {node_limit} nodes")
+
+    def level_probes(used: int) -> list[int]:
+        # Entry a: the probes a sum-pair level with these used elements
+        # makes before (a, 1); the last entry is the level's whole count.
+        key = used & low
+        offsets = probe_offsets.get(key)
+        if offsets is None:
+            offsets = [0, 0]
+            for a in range(1, half):
+                offsets.append(offsets[a] + (0 if key >> a & 1 else half - a))
+            probe_offsets[key] = offsets
+        return offsets
+
+    def octet(i: int, used: int, sums: list, diffs: list, total: int) -> Iterator[WSet]:
+        # Octet i's sum pair, its difference pair, then octet i + 1;
+        # used is the union of the masks placed, and total the running
+        # sum of a + b + c - d.
+        offsets = level_probes(used)
+        last = 0
+        for m, a, b, x, y in sums:
+            probe = offsets[a] + b
+            if probe != last:
+                charge(probe - last)
+                last = probe
+            if i == 2:
+                ts = congruent_ts[(total + a + b) % 12]
+                for m_q, t, c, d, w, z in diffs:
+                    if not m_q & m and ts >> t & 1:
+                        yield WSet(n, (*octets, (a, b, x, y, c, d, w, z)))
                 continue
-            for b in range(1, half - a + 1):
-                nodes += 1
-                if nodes > node_limit:
-                    raise CapacityError(f"WSet search exceeded {node_limit} nodes")
-                if used >> b & 1 or b == a:
+            if not small_pairs_available(2 - i, used | 1 << a | 1 << b):
+                continue
+            open_diffs = [q for q in diffs if not q[0] & m]
+            open_sums = None  # built when a difference pair first needs it
+            for m_q, t, c, d, w, z in open_diffs:
+                u = used | m | m_q
+                if not small_pairs_available(2 - i, u):
                     continue
-                s_ab = 1 << (a + b) % n | 1 << (a + b + delta) % n
-                if svals & s_ab:
-                    continue
-                d_ab = 1 << (a - b) % n
-                if dvals & d_ab:
-                    continue
-                u_ab = used | 1 << a | 1 << b
-                if not small_pairs_available(2 - i, u_ab):
-                    continue
-                for x in range(a + b, n + 1):
-                    y = a + b + n - x
-                    if u_ab >> x & 1 or u_ab >> y & 1 or x == y:
+                next_diffs = [q for q in open_diffs if not q[0] & m_q]
+                if next_diffs:
+                    if open_sums is None:
+                        open_sums = [p for p in sums if not p[0] & m]
+                    next_sums = [p for p in open_sums if not p[0] & m_q]
+                    if next_sums:
+                        octets.append((a, b, x, y, c, d, w, z))
+                        yield from octet(i + 1, u, next_sums, next_diffs, total + a + b + t)
+                        octets.pop()
                         continue
-                    d_xy = 1 << (x - y) % n
-                    if (dvals | d_ab) & d_xy:
-                        continue
-                    yield from difference_pair(
-                        i, (a, b, x, y), u_ab | 1 << x | 1 << y,
-                        svals | s_ab, dvals | d_ab | d_xy, total + a + b,
-                    )
+                # A level with no sum or no difference pair open yields
+                # nothing and makes every one of its probes.
+                charge(level_probes(u)[half])
+        charge(offsets[half] - last)
 
-    def difference_pair(
-        i: int, abxy: tuple[int, int, int, int], used: int, svals: int, dvals: int, total: int
-    ) -> Iterator[None]:
-        # Octet i's (c, d) and (w, z), with w - z = c - d - n; then the
-        # next octet's sum pair, or the finished WSet after octet 2.
-        free = elements & ~used
-        svals2 = svals | svals << n  # bit v is class v mod n, for v < 2n
-        # Bit t of ts is set when the difference t = c - d in 1..half
-        # passes every test that does not involve c itself: classes t and
-        # (t + delta) mod n unused, and at octet 2 the congruence.
-        ts = low & ~(dvals | dvals >> delta | dvals << (n - delta))
-        if i == 2:
-            ts &= congruent_ts[total % 12]
-        # diffs holds the same set with t at bit half - t.
-        diffs = int(f"{ts:0{half + 1}b}"[::-1], 2)
-        cs = free
-        while cs:
-            cbit = cs & -cs
-            cs ^= cbit
-            c = cbit.bit_length() - 1
-            # d = c - t ascending, free, with (c + d) mod n unused.
-            ds = diffs << c >> half & free & ~(svals2 >> c)
-            while ds:
-                dbit = ds & -ds
-                ds ^= dbit
-                d = dbit.bit_length() - 1
-                t = c - d
-                s_cd = 1 << (c + d) % n
-                d_cd = 1 << t | 1 << (t + delta) % n
-                # w in 1..t with z = w + n - t free as well.
-                rest = free ^ cbit ^ dbit
-                ws = rest & rest >> (n - t) & (2 << t) - 2
-                while ws:
-                    wbit = ws & -ws
-                    ws ^= wbit
-                    w = wbit.bit_length() - 1
-                    z = w + n - t
-                    s_wz = 1 << (w + z) % n
-                    if (svals | s_cd) & s_wz:
-                        continue
-                    u = used | cbit | dbit | wbit | 1 << z
-                    octets.append((*abxy, c, d, w, z))
-                    if small_pairs_available(2 - i, u):
-                        if i == 2:
-                            yield None
-                        else:
-                            yield from sum_pair(
-                                i + 1, u, svals | s_cd | s_wz, dvals | d_cd, total + t
-                            )
-                    octets.pop()
-
-    for _ in sum_pair(0, 0, 0, 0, 0):
-        yield WSet(n, tuple(octets))
+    try:
+        yield from octet(0, 0, sums, diffs, 0)
+    finally:
+        # octet's closure holds octet itself, so this call's cells live
+        # on until the next cyclic collection; empty the memos, their
+        # bulk, as soon as the search ends or is dropped.
+        pair_counts.clear()
+        probe_offsets.clear()
 
 
 def build_wset(n: int) -> WSet:
@@ -598,8 +607,8 @@ def extend_classical_search(
     on (n, seed).  The clock is read only between restarts and between
     WSets, so running out of budget_seconds aborts the walk with
     CapacityError after at most one more 50,000-node restart or the
-    walk to the next WSet (seconds at n = 26 and 27, where WSets come
-    seconds apart); it never moves on to another WSet.
+    walk to the next WSet (about 2 s at n = 26 and 27, where the first
+    WSet takes that long); it never moves on to another WSet.
     """
     deadline = time.monotonic() + budget_seconds
     for w in wset_candidates(n):

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -29,6 +30,7 @@ from torq.solvers import (
 
 from count_reference import count_rows
 from wset_data import EXTENDABLE_TUPLES
+from wset_reference import wset_reference
 
 # The first three WSets wset_candidates(n) yields, in order.
 FIRST_WSETS = {
@@ -94,6 +96,20 @@ def brute_placements(n: int, diagonals: str):
 
 def brute_count(n: int, diagonals: str) -> int:
     return sum(1 for _ in brute_placements(n, diagonals))
+
+
+@functools.cache
+def reference_wsets(n: int, count: int) -> tuple:
+    """The first count + 1 (tuples, probe count) pairs of the reference
+    WSet search."""
+    return tuple((w.tuples, p) for w, p in itertools.islice(wset_reference(n), count + 1))
+
+
+# How many of the first WSets to compare with the reference, per n: each
+# count ends where the next WSet's probe count is larger.  The three
+# divisibility cases are 30 and 36, 28, 32 and 34, and 33; n = 27 is left
+# out, as its first WSet takes 4.8 million probes.
+REFERENCE_COUNTS = {28: 3, 30: 4, 32: 5, 33: 6, 34: 6, 36: 8}
 
 
 class TestCounters:
@@ -227,6 +243,11 @@ class TestWSet:
                 with pytest.raises(VerificationError, match=why):
                     build()
 
+    def test_removed_vertices_built_once(self):
+        w = wset_from_tuples(30, EXTENDABLE_TUPLES[30])
+        assert w.removed_vertices is w.removed_vertices
+        assert dataclasses.replace(w).removed_vertices == w.removed_vertices
+
     def test_no_case_for_solvable_sizes(self):
         with pytest.raises(PreconditionError) as exc:
             build_wset(29)
@@ -255,6 +276,30 @@ class TestWSet:
             next(wset_candidates(n, node_limit=nodes - 1))
         w = next(wset_candidates(n, node_limit=nodes))
         assert w.tuples == FIRST_WSETS[n][0]
+
+    @pytest.mark.parametrize("n,count", sorted(REFERENCE_COUNTS.items()))
+    def test_first_candidates_match_reference(self, n, count):
+        ref = reference_wsets(n, count)
+        got = [w.tuples for w in itertools.islice(wset_candidates(n), count)]
+        assert got == [tuples for tuples, _ in ref[:count]]
+
+    @pytest.mark.parametrize("n", [30, 32, 33, 34, 36])
+    def test_node_limits_match_reference(self, n):
+        # At node limits around the first WSets' probe counts and at a
+        # few random ones, the search yields what the reference yields
+        # within the limit, then raises CapacityError.  Every limit is
+        # below the probe count of the first WSet not compared.
+        ref = reference_wsets(n, REFERENCE_COUNTS[n])
+        below = ref[-1][1]
+        rng = random.Random(n)
+        limits = {p + e for _, p in ref[:-1] for e in (-1, 0, 1)}
+        limits |= {rng.randrange(1, below) for _ in range(3)}
+        for limit in sorted(limit for limit in limits if limit < below):
+            got = []
+            with pytest.raises(CapacityError, match=f"^WSet search exceeded {limit} nodes$"):
+                for w in wset_candidates(n, node_limit=limit):
+                    got.append(w.tuples)
+            assert got == [tuples for tuples, p in ref if p <= limit], limit
 
     def test_build_wset_is_first_candidate(self):
         w = build_wset(30)
