@@ -7,12 +7,16 @@ over surviving vertices, and (for odd n) the signed parity disparity:
 the number of surviving odd-centered S vertices minus odd-centered D
 vertices, which changes only when a single-wrap edge is removed.
 
-The process keeps O(n) state: a (k, n) vertex-alive mask and a (k, n)
-degree array, one row per part, so a step's degree extremes are two
-reductions over the live degrees.  An edge is alive exactly when all its
-vertices are, so Q(i) is the sum of the X degrees; a uniform live edge
-is a row drawn with probability proportional to its degree, then a
-uniform live column of that row.
+The process keeps O(n) state, one row per part: each part's
+vertex-alive mask held three times over, so the alive vertices along
+any line are one slice of it; a (k, n) degree array, 0 on dead
+vertices; and a (k, n) penalty that is large on dead vertices, so a
+step's degree extremes are a max over the degrees and a min over the
+degrees or'd with the penalty, with no gather.  An edge is alive
+exactly when all its vertices are, so Q(i) is the sum of the X degrees;
+a uniform live edge is a row drawn with probability proportional to its
+degree, then a uniform live column of that row.  One step removes the
+edge's k lines together, counting each cell where two lines cross once.
 
 Reference curves: with p(i) = 1 - 4i/|V(0)| the process tracks
 Q(i) ~ n^2 p^4 and degrees ~ n p^3, with error envelopes
@@ -91,8 +95,8 @@ def _widening(p: float) -> float:
     return 2.0 * (1.0 - 4.0 * math.log(p)) if p > 0 else math.inf
 
 
-# Which view of the line's coordinates (see _LiveBoard.line) each part
-# takes on a line of part i, indexed like PART_ORDER; None marks part i.
+# Where each part's coordinate runs along a line of part i, as an index
+# into _views, indexed like PART_ORDER; None marks part i.
 _T, _C_PLUS_T, _C_MINUS_T, _T_MINUS_C, _TWO_T_MINUS_C = range(5)
 _LINE_VIEWS = (
     (None, _T, _C_PLUS_T, _C_MINUS_T),  # X line: cells (c, t)
@@ -101,46 +105,82 @@ _LINE_VIEWS = (
     (_T, _T_MINUS_C, _TWO_T_MINUS_C, None),  # D line: cells (t, t - c)
 )
 
+# A dead vertex's entry in _LiveBoard.dead: above every degree, so the
+# least of deg | dead is a live vertex's degree unless none is alive.
+_DEAD = 1 << 40
+
+
+def _views(n: int, c: int) -> tuple[slice, ...]:
+    """A line's coordinate sequences for t = 0..n-1 as slices of a length-3n
+    array that holds 0..n-1 three times: t, c + t, c - t, t - c and 2t - c
+    (mod n), in _LINE_VIEWS' order.  Only the last one repeats a
+    coordinate (on even n)."""
+    return (slice(0, n), slice(c, c + n), slice(c + n, c, -1), slice(n - c, 2 * n - c),
+            slice(n - c, 3 * n - c, 2))
+
+
+def _subtract_cyclic(row: np.ndarray, view: slice, live: np.ndarray) -> None:
+    """row[view's coordinates] -= live, for a view that visits each
+    coordinate once: a rotation of the line, or of its reverse, taken as
+    two slice subtractions."""
+    n = len(row)
+    if view.step == -1:  # c - t is the reversed line rotated by c + 1
+        live, r = live[::-1], (view.stop + 1) % n
+    else:
+        r = view.start % n
+    row[r:] -= live[: n - r]
+    if r:
+        row[:r] -= live[n - r :]
+
 
 class _LiveBoard:
     """The surviving part of a board, held in O(n) state.
 
-    A (k, n) vertex-alive mask and a (k, n) degree array, row i for part
-    PART_ORDER[i] (the first k parts are the board's).  Edge (x, y) is alive exactly
-    when its X, Y, S (and D) vertices are all alive, so no per-edge
-    state exists.  Starts from the full board, on which every vertex has
-    degree n and Q = n^2.
+    Row i of each array is part PART_ORDER[i] (the first k parts are the
+    board's):
+
+    - alive, (k, 3n) bool: the part's vertex-alive mask, repeated three
+      times, so the alive vertices along any line are one slice of it;
+    - deg, (k, n) int64: each vertex's live-edge count, 0 once it is dead;
+    - dead, (k, n) int64: _DEAD on the dead vertices, 0 on the live ones.
+
+    Edge (x, y) is alive exactly when its X, Y, S (and D) vertices are all
+    alive, so no per-edge state exists and Q is the sum of the X degrees.
+    Starts from the full board, on which every vertex has degree n and
+    Q = n^2.
     """
 
     def __init__(self, n: int, k: int) -> None:
         self.n = n
-        self.alive = np.ones((k, n), dtype=bool)
+        self.alive = np.ones((k, 3 * n), dtype=bool)
         self.deg = np.full((k, n), n, dtype=np.int64)
+        self.dead = np.zeros((k, n), dtype=np.int64)
         self.q = n * n
-        # mod[j] = j mod n: every coordinate sequence along a line is a
-        # slice of it, so building a line allocates nothing of size n.
+        # mod[j] = j mod n: a view's coordinates, for np.subtract.at.
         self._mod = np.arange(3 * n) % n
+        self._buf = np.empty((k, n), dtype=np.int64)
 
-    def line(self, i: int, c: int) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
-        """The cells on the line of live vertex (i, c): their coordinates
-        in each other row j as [(j, idx)], and 1 where the cell is live.
+    def _coords(self, i: int, c: int) -> list[tuple[int, slice]]:
+        """[(j, view)]: the coordinates in each other part j of the cells
+        on the line of vertex (i, c), which are (c, t) on an X line and
+        (t, .) on the others."""
+        views = _views(self.n, c)
+        row = _LINE_VIEWS[i][: len(self.deg)]
+        return [(j, views[v]) for j, v in enumerate(row) if v is not None]
 
-        The cells are (c, t) on an X line and (t, .) on the others, for
-        t = 0..n-1.  On an S or D line of an even-n board the other
-        diagonal's coordinates 2t - c repeat.
-        """
-        n, m = self.n, self._mod
-        views = (m[:n], m[c : c + n], m[c + n : c : -1], m[n - c : 2 * n - c],
-                 m[n - c : 3 * n - c : 2])
-        row = _LINE_VIEWS[i]
-        coords = [(j, views[row[j]]) for j in range(len(self.alive)) if j != i]
-        live = np.ones(n, dtype=bool)
-        for j, idx in coords:
-            live &= self.alive[j][idx]
-        return coords, live.astype(np.int64)
+    def line(self, i: int, c: int) -> tuple[list[tuple[int, slice]], np.ndarray]:
+        """The line of live vertex (i, c): its coordinate views, and True
+        where the cell is live."""
+        coords = self._coords(i, c)
+        (j0, v0), (j1, v1), *rest = coords
+        live = self.alive[j0, v0] & self.alive[j1, v1]
+        for j, v in rest:
+            live &= self.alive[j, v]
+        return coords, live
 
-    def sample(self, r: int) -> Edge:
-        """The r-th live edge (0 <= r < Q) in (x, y) order.
+    def sample(self, r: int) -> tuple[Edge, np.ndarray]:
+        """The r-th live edge (0 <= r < Q) in (x, y) order, and its X
+        line's live mask.
 
         The row is the x with cum[x-1] <= r < cum[x] over the cumulative
         X degrees, drawn with probability deg[0, x]/Q; r's offset in that
@@ -150,28 +190,82 @@ class _LiveBoard:
         x = int(np.searchsorted(cum, r, side="right"))
         offset = r - int(cum[x]) + int(self.deg[0, x])
         _, live = self.line(0, x)
-        return Edge(x, int(np.flatnonzero(live)[offset]))
+        return Edge(x, int(np.flatnonzero(live)[offset])), live
+
+    def take(self, e: Edge, x_live: np.ndarray) -> None:
+        """Delete live edge e's vertices and the live edges through them.
+
+        x_live is the live mask of e's X line, from sample; the other
+        lines' masks come from the same state.  A cell on two lines is
+        counted on one: e lies on every line and stays on the X line, and
+        on even n the S and D lines also cross at (x + n/2, y - n/2),
+        which stays on the S line.  Each line's live cells then leave Q
+        and the other parts' degrees.
+        """
+        n, k, deg = self.n, len(self.deg), self.deg
+        cs = (e.x, e.y, e.s(n), e.d(n))[:k]
+        lines = [(self._coords(0, e.x), x_live)]
+        lines += [self.line(i, c) for i, c in enumerate(cs[1:], start=1)]
+        for _, live in lines[1:]:
+            live[e.x] = False
+        if k == 4 and n % 2 == 0:
+            lines[3][1][(e.x + n // 2) % n] = False
+        for coords, live in lines:
+            self.q -= int(np.count_nonzero(live))
+            # int64 values: subtracting bools is slower, and np.subtract.at
+            # takes a far slower path on them.
+            live = live.astype(np.int64)
+            for j, v in coords:
+                if v.step == 2:
+                    np.subtract.at(deg[j], self._mod[v], live)
+                else:
+                    _subtract_cyclic(deg[j], v, live)
+        for i, c in enumerate(cs):
+            self._bury(i, c)
 
     def kill(self, i: int, c: int) -> None:
-        """Delete live vertex (i, c) and the live edges through it.
+        """Delete live vertex (i, c) and the live edges through it, one
+        line on its own: for removed vertices, and a cross-check on take.
 
         np.subtract.at accumulates repeated coordinates.
         """
         coords, live = self.line(i, c)
-        for j, idx in coords:
-            np.subtract.at(self.deg[j], idx, live)
+        live = live.astype(np.int64)
+        for j, v in coords:
+            np.subtract.at(self.deg[j], self._mod[v], live)
         self.q -= int(self.deg[i, c])
+        self._bury(i, c)
+
+    def _bury(self, i: int, c: int) -> None:
         self.deg[i, c] = 0
-        self.alive[i, c] = False
+        self.alive[i, c :: self.n] = False
+        self.dead[i, c] = _DEAD
+
+    def extremes(self) -> tuple[int, int]:
+        """The least and greatest degree over the live vertices, (0, 0)
+        if none is live.  Dead degrees are 0, so the greatest is deg's."""
+        np.bitwise_or(self.deg, self.dead, out=self._buf)
+        lo = int(self._buf.min())
+        return (0, 0) if lo >= _DEAD else (lo, int(self.deg.max()))
 
     def check(self) -> None:
-        """Rebuild the degrees and Q from the masks and compare."""
+        """Check the redundant state against the alive masks: the three
+        copies of each, the dead penalties, and the degrees and Q rebuilt
+        line by line."""
+        n = self.n
+        alive = self.alive[:, :n]
+        for copy in (self.alive[:, n : 2 * n], self.alive[:, 2 * n :]):
+            if not np.array_equal(alive, copy):
+                raise VerificationError("the copies of the alive masks disagree")
+        if not np.array_equal(self.dead, np.where(alive, 0, _DEAD)):
+            raise VerificationError("the dead penalties drifted from the masks")
         deg = np.zeros_like(self.deg)
-        for x in np.flatnonzero(self.alive[0]):
+        for x in np.flatnonzero(alive[0]):
             coords, live = self.line(0, int(x))
+            live = live.astype(np.int64)
             deg[0, x] = live.sum()
-            for j, idx in coords:
-                np.add.at(deg[j], idx, live)
+            for j, v in coords:
+                np.add.at(deg[j], self._mod[v], live)
         if not np.array_equal(self.deg, deg):
             raise VerificationError("degrees drifted from the masks")
         if self.q != int(deg[0].sum()):
@@ -205,13 +299,13 @@ def run_greedy(g: TorusGraph, seed: int, stop_fraction: float) -> GreedyTrace:
     board = _LiveBoard(n, k)
     for v in g.removed:
         board.kill(parts.index(v.part), v.coord)
-    alive, deg = board.alive, board.deg
 
     v0 = g.vertex_count()
     track_parity = k == 4 and n % 2 == 1
     par = np.array([centered(n, c) % 2 for c in range(n)])
     disparity = 0
     if track_parity:  # rows 2 and 3 are S and D
+        alive = board.alive[:, :n]
         disparity = int(par[alive[2]].sum()) - int(par[alive[3]].sum())
 
     m_target = math.ceil(stop_fraction * g.matching_bound())
@@ -219,16 +313,14 @@ def run_greedy(g: TorusGraph, seed: int, stop_fraction: float) -> GreedyTrace:
     rng = np.random.default_rng(seed)
 
     def record(i: int) -> StepRecord:
-        live = deg[alive]
-        d_lo, d_hi = (int(live.min()), int(live.max())) if live.size else (0, 0)
+        d_lo, d_hi = board.extremes()
         return StepRecord(i, board.q, d_lo, d_hi, disparity, 1.0 - (k * i) / v0)
 
     steps = [record(0)]
     chosen: list[Edge] = []
     while len(chosen) < m_target and board.q > 0:
-        e = board.sample(int(rng.integers(board.q)))
-        for i, v in enumerate(g.edge_vertices(e)):
-            board.kill(i, v.coord)
+        e, x_live = board.sample(int(rng.integers(board.q)))
+        board.take(e, x_live)
         if track_parity:
             disparity += int(par[e.d(n)]) - int(par[e.s(n)])
         chosen.append(e)
@@ -310,10 +402,10 @@ def knuth_count_estimator(g: TorusGraph, trials: int, seed: int = 0) -> float:
     perfect matching, i.e. n! times the perfect-matching count.
     Products are accumulated as exact integers, so no intermediate
     rounding occurs.  A run holds the live edges' masks in (x, y) order
-    and, as _LiveBoard.sample does, takes the r-th for r uniform below
-    Q(i), then drops every mask that meets it.  The trials draw in turn
-    from one stream, default_rng(seed).  Raises PreconditionError("trials")
-    for fewer than one trial.
+    and takes the r-th for r uniform below Q(i), the edge run_greedy
+    draws from the same r, then drops every mask that meets it.  The
+    trials draw in turn from one stream, default_rng(seed).  Raises
+    PreconditionError("trials") for fewer than one trial.
     """
     _check_seed(seed)
     if trials < 1:

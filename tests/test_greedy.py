@@ -2,13 +2,16 @@
 parity tracking, CSV export."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from greedy_reference import greedy_reference
 from torq.board import BoardKind, Edge, Part, TorusGraph, Vertex, verify_matching
 from torq.errors import PreconditionError, VerificationError
 from torq.greedy import (
@@ -33,19 +36,22 @@ def _kind_id(kind: BoardKind) -> str:
 
 
 def replay_checked(g: TorusGraph, trace: GreedyTrace) -> None:
-    """Replay trace's matching on a fresh _LiveBoard, killing g's removed
-    vertices first as run_greedy does, and rebuild the degrees from the
-    masks after every step: they and Q must match the trace's."""
-    board = _LiveBoard(g.n, len(g.parts()))
+    """Replay trace's matching on a fresh _LiveBoard one vertex kill at a
+    time, killing g's removed vertices first as run_greedy does, and
+    rebuild the degrees from the masks after every step: they, Q and the
+    degree extremes over the live vertices must match the trace's."""
+    n = g.n
+    board = _LiveBoard(n, len(g.parts()))
     for v in g.removed:
         board.kill(g.parts().index(v.part), v.coord)
-    board.check()
-    assert board.q == trace.steps[0].q
-    for rec, e in zip(trace.steps[1:], trace.matching):
-        for i, v in enumerate(g.edge_vertices(e)):
-            board.kill(i, v.coord)
+    for rec, e in zip(trace.steps, [None, *trace.matching]):
+        if e is not None:
+            for i, v in enumerate(g.edge_vertices(e)):
+                board.kill(i, v.coord)
         board.check()
-        assert board.q == rec.q, rec.i
+        live = board.deg[board.alive[:, :n]]
+        d_min, d_max = (int(live.min()), int(live.max())) if live.size else (0, 0)
+        assert (board.q, d_min, d_max) == (rec.q, rec.d_min, rec.d_max), rec.i
 
 
 class TestRunGreedy:
@@ -100,6 +106,21 @@ class TestRunGreedy:
         board.q += 1
         with pytest.raises(VerificationError, match="Q = "):
             board.check()
+        board.q -= 1
+        # Each copy of an alive row, both ways: S3 is dead, S4 alive.
+        for col in (3 + 7, 3 + 14, 4 + 7, 4 + 14):
+            board.alive[2, col] ^= True
+            with pytest.raises(VerificationError, match="copies"):
+                board.check()
+            board.alive[2, col] ^= True
+        # The dead penalty, cleared on dead S3 and set on live S4.
+        penalty = int(board.dead[2, 3])
+        for c, right, wrong in ((3, penalty, 0), (4, 0, penalty)):
+            board.dead[2, c] = wrong
+            with pytest.raises(VerificationError, match="dead penalties"):
+                board.check()
+            board.dead[2, c] = right
+        board.check()
 
     def test_rejects_empty_board(self):
         for n in (1, 2):
@@ -158,6 +179,92 @@ class TestRunGreedy:
         assert float(last[4]) == math.inf and float(last[8]) == math.inf
 
 
+@pytest.mark.parametrize("kind", list(BoardKind), ids=_kind_id)
+@pytest.mark.parametrize("n", [7, 8])
+def test_take_is_k_kills(n, kind):
+    # From the full board, one fused step on each edge leaves the state
+    # that killing its k vertices one at a time leaves.
+    k = len(kind.parts)
+    for x, y in itertools.product(range(n), repeat=2):
+        e = Edge(x, y)
+        fused, single = _LiveBoard(n, k), _LiveBoard(n, k)
+        _, x_live = fused.line(0, x)
+        fused.take(e, x_live)
+        for i, v in enumerate(e.vertices(n)[:k]):
+            single.kill(i, v.coord)
+        fused.check()
+        assert fused.q == single.q, e
+        for a, b in ((fused.alive, single.alive), (fused.deg, single.deg),
+                     (fused.dead, single.dead)):
+            assert (a == b).all(), e
+
+
+def test_even_board_counts_the_second_sd_crossing_once():
+    # On even n the S and D lines of edge (x, y) also cross at
+    # (x + n/2, y - n/2), a live edge at step 1 of a full board; a step
+    # that counted it on both lines would drop Q(1) by one too many.
+    n = 8
+    g = TorusGraph(n)
+    trace = run_greedy(g, 0, 0.5)
+    e = trace.matching.edges[0]
+    crossing = Edge((e.x + n // 2) % n, (e.y - n // 2) % n)
+    assert (crossing.s(n), crossing.d(n)) == (e.s(n), e.d(n))
+    assert g.has_edge(crossing) and crossing != e
+    assert trace.steps[1].q == brute_force_step(g, [e])[0]
+    assert trace == greedy_reference(g, 0, 0.5)
+
+
+@st.composite
+def _greedy_runs(draw):
+    """(board, seed, stop_fraction): n = 1..64, either kind, and a random
+    set of removed vertices, dense enough at small n to leave live
+    vertices of degree 0 or no live edge at all."""
+    n = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(list(BoardKind)))
+    holes = draw(st.sets(st.tuples(st.sampled_from(kind.parts), st.integers(0, n - 1)),
+                         max_size=2 * n))
+    g = TorusGraph(n, kind, frozenset(Vertex(p, c) for p, c in holes))
+    assume(g.vertex_count() > 0)
+    seed = draw(st.integers(0, 2**32))
+    stop = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return g, seed, stop
+
+
+# Row 0 alone is left on the X side and Y0 is gone, so live S0 has
+# degree 0 while other edges live.
+_DEGREE_ZERO = TorusGraph(6, removed=frozenset(
+    [Vertex(Part.X, x) for x in range(1, 6)] + [Vertex(Part.Y, 0)]))
+
+
+@given(_greedy_runs())
+@example((_DEGREE_ZERO, 0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_matches_the_reference_kernel(run):
+    g, seed, stop = run
+    assert run_greedy(g, seed, stop) == greedy_reference(g, seed, stop)
+
+
+# sha256 of trace_to_csv(run_greedy(g, 0, 0.9), 0.05): the benchmark's
+# boards, byte for byte.
+_TRACE_SHA256 = [
+    pytest.param(TorusGraph(1000),
+                 "b891640f43f399f8b269857f267b76cec4808bceab1288504bc93a82c9a5a240",
+                 id="n1000-queens-toroidal"),
+    pytest.param(TorusGraph(1001),
+                 "9ba752e25f8e93ac43bd59c1dd64f110aa760bd69c89dd19402d4a4d72075ba6",
+                 id="n1001-queens-toroidal"),
+    pytest.param(TorusGraph(1001, BoardKind.SEMIQUEENS_TOROIDAL),
+                 "dd797b8f5e8364f86b2dc32d405f0edc597bf6348b2ba3727136db0b99c91f97",
+                 id="n1001-semiqueens-toroidal"),
+]
+
+
+@pytest.mark.parametrize("g,digest", _TRACE_SHA256)
+def test_trace_bytes_at_benchmark_scale(g, digest):
+    csv_text = trace_to_csv(run_greedy(g, 0, 0.9), 0.05)
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == digest
+
+
 def brute_force_step(g: TorusGraph, placed) -> tuple[int, int, int]:
     """(Q, d_min, d_max) after placing the given edges on g, by looking at
     every cell of the board."""
@@ -200,6 +307,9 @@ class TestReferenceBoards:
 
     def test_debug_mode_agrees(self, g):
         replay_checked(g, run_greedy(g, 1, 1.0))
+
+    def test_matches_the_reference_kernel(self, g):
+        assert run_greedy(g, 2, 1.0) == greedy_reference(g, 2, 1.0)
 
 
 class TestEnvelope:
