@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError
 
@@ -78,9 +78,11 @@ def centered(n: int, coord: int) -> int:
     return c
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
-    """A vertex of the toroidal board: a part and a residue coordinate."""
+class Vertex(NamedTuple):
+    """A vertex of the toroidal board: a part and a residue coordinate.
+
+    A tuple: it hashes, compares and sorts as (part, coord), in C,
+    which the per-edge loops of torq.lattice and torq.decomp lean on."""
 
     part: Part
     coord: int
@@ -92,9 +94,9 @@ def vertex_index(n: int, v: Vertex) -> int:
     return PART_ORDER.index(v.part) * n + v.coord
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
-    """An edge of T(n), fully determined by its (x, y) coordinates."""
+class Edge(NamedTuple):
+    """An edge of T(n), fully determined by its (x, y) coordinates; a
+    tuple, like Vertex, hashing, comparing and sorting as (x, y)."""
 
     x: int
     y: int

@@ -7,8 +7,8 @@ re-verifies its own output bit-exactly, raising :class:`VerificationError`
 rather than returning a wrong answer.  Each phase accumulates into an
 edge set it created, with the in-place ``add`` / ``+=`` of
 :class:`~torq.lattice.SignedEdgeSet` (:func:`bidc_reduce` tallies by
-(x, y) and builds its set once), and never changes its arguments;
-:func:`decompose_bounded` and :func:`cover_leave` keep
+the int key x*n + y and builds its set once), and never changes its
+arguments; :func:`decompose_bounded` and :func:`cover_leave` keep
 ``target - shadow(phi)`` current edge by edge instead of recomputing it.
 
 Step vectors used internally ("SQ steps", in offset form) are the
@@ -403,14 +403,16 @@ def bidc_reduce(v: SupportVector) -> DecompositionResult:
     if any(red.classes.values()):
         raise VerificationError("class residual nonzero after carries")
 
-    # One tally per (x, y); the constructor checks each distinct edge once.
-    tally: dict[tuple[int, int], int] = {}
+    # One tally per edge, keyed x*n + y; the constructor checks each
+    # distinct edge once.
+    tally: dict[int, int] = {}
     phase_gadgets: Counter[str] = Counter()
     for phase, mult, a, b, c, s in red.steps:
         phase_gadgets[phase] += abs(mult)
         for x, y, sign in _q_step_edges(n, a, b, c, s):
-            tally[x, y] = tally.get((x, y), 0) + sign * mult
-    phi = SignedEdgeSet(n, {Edge(x, y): m for (x, y), m in tally.items()})
+            k = x * n + y
+            tally[k] = tally.get(k, 0) + sign * mult
+    phi = SignedEdgeSet(n, {Edge(*divmod(k, n)): m for k, m in tally.items()})
     if shadow(phi) != v:
         raise VerificationError("reduced edge set does not shadow the target")
     if phi.size() > bidc_size_bound(v.size(), n):
@@ -459,6 +461,45 @@ def _put_edge(phi: SignedEdgeSet, residual: SupportVector, e: Edge, m: int) -> N
     residual.add_edge(e, -m)
 
 
+def _cover_units(phi: SignedEdgeSet, r: SupportVector) -> int:
+    """Pair the lowest row unit of r with a column unit of the same sign,
+    preferring an edge that also covers same-sign diagonal units, until
+    no row or column unit of that sign is left; positive units first.
+    Each edge goes into phi through :func:`_put_edge`.  Returns the
+    number of edges placed.
+
+    Placing (x, y) moves only row x and column y among the row and column
+    units, each one step toward 0, so the sorted unit lists of one sign
+    are built once and lose a coordinate when its units run out.
+    """
+    n, weight = r.n, r.entries.get
+    placed = 0
+    for sign in (1, -1):
+        xs, ys = (
+            sorted(c for c, w in r.part_weights(p).items() if w * sign > 0)
+            for p in (Part.X, Part.Y)
+        )
+        while xs and ys:
+            x = xs[0]
+            best, best_bonus = 0, -1
+            for j, y in enumerate(ys):
+                bonus = (weight(Vertex(Part.S, (x + y) % n), 0) * sign > 0) + (
+                    weight(Vertex(Part.D, (x - y) % n), 0) * sign > 0
+                )
+                if bonus > best_bonus:
+                    best, best_bonus = j, bonus
+                    if bonus == 2:
+                        break
+            y = ys[best]
+            _put_edge(phi, r, Edge(x, y), sign)
+            placed += 1
+            if Vertex(Part.X, x) not in r.entries:
+                del xs[0]
+            if Vertex(Part.Y, y) not in r.entries:
+                del ys[best]
+    return placed
+
+
 def decompose_bounded(target: SupportVector) -> DecompositionResult:
     """Realize an arbitrary lattice vector, at any n, as a signed edge set.
 
@@ -479,33 +520,12 @@ def decompose_bounded(target: SupportVector) -> DecompositionResult:
     r = target.copy()
 
     # Phase: edge cover.  A matching shadow is reconstructed as the
-    # matching, which leaves r zero for every later phase.  Otherwise pair
-    # row units with column units, preferring edges that also cover
-    # same-sign diagonal units.
+    # matching, which leaves r zero for every later phase; otherwise
+    # _cover_units pairs row units with column units.
     exact = _exact_matching_cover(target) or []
     for e in exact:
         _put_edge(phi, r, e, 1)
-    cover_edges = len(exact)
-    for sign in (1, -1):
-        while True:
-            rx = {k: v for k, v in r.part_weights(Part.X).items() if v * sign > 0}
-            ry = {k: v for k, v in r.part_weights(Part.Y).items() if v * sign > 0}
-            if not rx or not ry:
-                break
-            rs = r.part_weights(Part.S)
-            rd = r.part_weights(Part.D)
-            x = min(rx)
-            best = None
-            for y in sorted(ry):
-                bonus = (rs.get((x + y) % n, 0) * sign > 0) + (
-                    rd.get((x - y) % n, 0) * sign > 0
-                )
-                if best is None or bonus > best[0]:
-                    best = (bonus, y)
-                    if bonus == 2:
-                        break
-            _put_edge(phi, r, Edge(x, best[1]), sign)
-            cover_edges += 1
+    cover_edges = len(exact) + _cover_units(phi, r)
 
     # Phase: row/column elimination of the leftover same-part ± pairs.
     px, nx, py, ny = [], [], [], []

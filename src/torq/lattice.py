@@ -3,14 +3,16 @@ and exact lattice-membership tests.
 
 ``SupportVector`` (vertex weights) and ``SignedEdgeSet`` (edge
 multiplicities) are one sparse counter: sums of vectors or edge sets go
-through their ``add`` / ``+=`` / ``add_edge``, which check keys and
-drop zeros.  Two builders on the decomposition path sum in plain dicts
-first, in one pass: :func:`shadow` stores its non-zero part sums
-unchecked, as every vertex comes from an edge its ``SignedEdgeSet``
-already checked, and ``torq.decomp.bidc_reduce`` tallies its Q-step
-edges by (x, y) and checks each distinct edge once, through the
-constructor.  Their ``from_json`` rejects malformed input with a
-PreconditionError naming the field path.
+through their ``add`` / ``+=`` / ``add_edge``, which drop zeros.
+``add`` and ``add_edge`` check each key; ``+=`` takes the keys of a
+counter of the same type and space, each checked when it was stored,
+without checking them again.  Two builders on the decomposition path
+sum in plain dicts first, in one pass: :func:`shadow` stores its
+non-zero part sums unchecked, as every vertex comes from an edge its
+``SignedEdgeSet`` already checked, and ``torq.decomp.bidc_reduce``
+tallies its Q-step edges by the int key x*n + y and checks each
+distinct edge once, through the constructor.  Their ``from_json``
+rejects malformed input with a PreconditionError naming the field path.
 
 The edge lattice L of a board is the integer span of the shadows of its
 edges.  Membership is characterised by part-sum equalities together with
@@ -56,6 +58,11 @@ class _Counter:
     place: use them only on a counter the caller created, never on one it
     was given.  ``_space`` gives the fields besides ``entries`` (the board
     and kind), which operands of ``+`` must share.
+
+    Invariant: every stored key has passed ``_check`` for this counter's
+    space, or comes from one that has (``shadow`` stores the vertices of
+    checked edges).  So ``+=`` merges the keys of an operand of the same
+    type and space without checking them again.
     """
 
     entries: Mapping
@@ -80,8 +87,13 @@ class _Counter:
     def __iadd__(self, other):
         if type(other) is not type(self) or other._space() != self._space():
             raise ValueError(f"mismatched {type(self).__name__} operands")
+        entries = self.entries
         for key, m in other.entries.items():
-            self.add(key, m)
+            total = entries.get(key, 0) + m
+            if total:
+                entries[key] = total
+            else:
+                del entries[key]
         return self
 
     def copy(self):
@@ -106,7 +118,7 @@ class _Counter:
         return self.scaled(-1)
 
     def size(self) -> int:
-        return sum(abs(m) for m in self.entries.values())
+        return sum(map(abs, self.entries.values()))
 
 
 @dataclass(frozen=True)
@@ -233,7 +245,7 @@ class SignedEdgeSet(_Counter):
             "n": self.n,
             "entries": [
                 {"x": x, "y": y, "mult": m}
-                for x, y, m in sorted((e.x, e.y, m) for e, m in self.entries.items())
+                for x, y, m in sorted((x, y, m) for (x, y), m in self.entries.items())
             ],
         }
 
@@ -304,8 +316,7 @@ def shadow(phi: SignedEdgeSet, kind: str = "queens") -> SupportVector:
     ys: dict[int, int] = {}
     ss: dict[int, int] = {}
     ds: dict[int, int] = {}
-    for e, m in phi.entries.items():
-        x, y = e.x, e.y
+    for (x, y), m in phi.entries.items():
         xs[x] = xs.get(x, 0) + m
         ys[y] = ys.get(y, 0) + m
         s, d = (x + y) % n, (x - y) % n

@@ -69,6 +69,34 @@ class TestEdges:
         assert ((centered(n, e.s(n)) - centered(n, e.d(n))) % 2 == 1) == single
 
 
+class TestTupleSemantics:
+    """Edge and Vertex are tuples that hash, compare and sort as their
+    fields, as the frozen dataclasses they replace did: sets and dicts of
+    them iterate in the same order, so outputs keep every byte."""
+
+    @given(st.integers(-60, 60), st.integers(-60, 60))
+    def test_edge(self, x, y):
+        e = Edge(x, y)
+        assert hash(e) == hash((e.x, e.y))
+        assert repr(e) == f"Edge(x={x}, y={y})"
+        with pytest.raises(AttributeError):
+            e.x = 0
+
+    @given(st.lists(st.builds(Vertex, st.sampled_from(list(Part)), st.integers(0, 60))))
+    def test_vertex(self, vs):
+        for v in vs:
+            assert hash(v) == hash((v.part, v.coord))
+            assert repr(v) == f"Vertex(part={v.part!r}, coord={v.coord})"
+            with pytest.raises(AttributeError):
+                v.coord = 0
+        # Parts sort by their letters, D, S, X, Y, then coordinates.
+        assert sorted(vs) == sorted(vs, key=lambda v: ("DSXY".index(v.part.value), v.coord))
+
+    def test_repr(self):
+        assert repr(Edge(3, 5)) == "Edge(x=3, y=5)"
+        assert repr(Vertex(Part.S, 2)) == "Vertex(part=<Part.S: 'S'>, coord=2)"
+
+
 class TestIntervals:
     def test_square_bounds_all_parts(self):
         i = square(5)

@@ -1,6 +1,8 @@
 """Zero-sum configurations, edge-set decompositions, leave covers,
 matching-pair rewriting, and cascades."""
 
+import hashlib
+import json
 import os
 import random
 from unittest import mock
@@ -41,15 +43,18 @@ from torq.errors import CapacityError, PreconditionError
 from torq.lattice import (
     Generator,
     SignedEdgeSet,
+    SupportVector,
     check_sublattice_S,
     edge_shadow,
     expand,
     shadow,
     sv,
 )
+from decomp_reference import cover_units_reference
 from shadow_reference import checked_shadow
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def golden(name: str) -> str:
@@ -471,6 +476,50 @@ def test_decompose_bounded_realizes_every_member(v):
     """Every lattice member is realized exactly, at n = 3 (below
     bidc_reduce's n >= 4) too."""
     assert shadow(decompose_bounded(v).phi) == v
+
+
+@st.composite
+def signed_members(draw):
+    """The shadow of 1 to 150 signed edges with multiplicities +-1..+-3,
+    at n in 1..40 (odd and even, every n mod 6)."""
+    n, k = draw(st.integers(1, 40)), draw(st.integers(1, 150))
+    coord = st.integers(0, n - 1)
+    phi = SignedEdgeSet(n)
+    for x, y, m in draw(st.lists(st.tuples(coord, coord, st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                                 min_size=k, max_size=k)):
+        phi.add(Edge(x, y), m)
+    return shadow(phi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_members())
+def test_edge_cover_matches_the_reference(v):
+    """The same phi, entry for entry and in the same order, and the same
+    phases as with the edge cover that rebuilds its unit maps per edge."""
+    with mock.patch("torq.decomp._cover_units", cover_units_reference):
+        want = decompose_bounded(v)
+    got = decompose_bounded(v)
+    assert list(got.phi.entries.items()) == list(want.phi.entries.items())
+    assert got.phases == want.phases
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(dumps(obj.to_json()).encode()).hexdigest()
+
+
+def test_decompose_bounded_bytes_at_benchmark_scale():
+    # A 150-edge signed member at n = 101, the decompose benchmark's
+    # large-|v| tail; phi has 6,092 edges.
+    res = decompose_bounded(random_member(random.Random(0), 101, 150))
+    assert _sha256(res) == "8ff9599d1760644fc8241adb4039c609fe1497028d7ed51b540d1d400973bea5"
+
+
+def test_bidc_reduce_bytes_at_benchmark_scale():
+    # A sum of three q-gens at n = 1001; phi has 6,392 edges.
+    with open(os.path.join(DATA, "qgen_sum_n1001.json")) as fh:
+        v = SupportVector.from_json(json.load(fh))
+    res = bidc_reduce(v)
+    assert _sha256(res) == "0f662d2f0c8e1621c4f96c6bcc2cfdec2091b24d3728812cb219f2dff52d92d1"
 
 
 @settings(max_examples=60, deadline=None)

@@ -179,6 +179,68 @@ class TestSupportVector:
         assert exc.value.condition == field
 
 
+class TestInPlaceSum:
+    """``+=`` merges a counter of the same type and space without checking
+    its keys again: each was checked when it was stored."""
+
+    @pytest.mark.parametrize("a,b", [
+        (sv(5, []), SignedEdgeSet(5)),
+        (SignedEdgeSet(5), sv(5, [])),
+        (SignedEdgeSet(5), SignedEdgeSet(6)),
+        (sv(5, []), sv(6, [])),
+        (sv(5, []), sv(5, [], "semi")),
+    ], ids=["type", "type-reversed", "n-edges", "n-vertices", "kind"])
+    def test_mismatched_operands_raise(self, a, b):
+        with pytest.raises(ValueError):
+            a += b
+        with pytest.raises(ValueError):
+            a + b
+
+    def test_cancelling_entries_are_dropped(self):
+        phi = SignedEdgeSet(7, {Edge(1, 2): 3, Edge(0, 0): 1})
+        phi += SignedEdgeSet(7, {Edge(1, 2): -3, Edge(4, 4): 2})
+        assert phi.entries == {Edge(0, 0): 1, Edge(4, 4): 2}
+        v = edge_shadow(7, Edge(1, 2))
+        v += edge_shadow(7, Edge(1, 2)).scaled(-1)
+        assert v.entries == {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from(["queens", "semi"]), st.data())
+    def test_chains_keep_every_key_checked(self, n, kind, data):
+        coord = st.integers(0, n - 1)
+        mult = st.sampled_from([-3, -2, -1, 1, 2, 3])
+        phi, v = SignedEdgeSet(n), SupportVector(n, kind=kind)
+        for op in data.draw(st.lists(st.sampled_from(["+=", "-", "scaled"]), max_size=8)):
+            if op == "scaled":
+                k = data.draw(mult)
+                phi, v = phi.scaled(k), v.scaled(k)
+                continue
+            items = data.draw(st.lists(st.tuples(coord, coord, mult), max_size=6))
+            other = SignedEdgeSet(n, {Edge(x, y): m for x, y, m in items})
+            if op == "+=":
+                phi += other
+                v += shadow(other, kind)
+            else:
+                phi, v = phi - other, v - shadow(other, kind)
+        for counter in (phi, v):
+            assert 0 not in counter.entries.values()
+            for key in counter.entries:
+                counter._check(key)
+        assert shadow(phi, kind) == v
+
+    @pytest.mark.parametrize("cls,bad", [
+        (SignedEdgeSet, {"x": 3, "y": 0, "mult": 1}),
+        (SupportVector, {"part": "Y", "coord": 3, "weight": 1}),
+    ])
+    def test_from_json_names_the_failing_entry(self, cls, bad):
+        good = [{"x": 0, "y": 1, "mult": 1}, {"x": 2, "y": 2, "mult": -1}]
+        if cls is SupportVector:
+            good = [{"part": "X", "coord": 0, "weight": 1}, {"part": "S", "coord": 2, "weight": -1}]
+        with pytest.raises(PreconditionError) as exc:
+            cls.from_json({"n": 3, "entries": good + [bad]})
+        assert exc.value.condition == "entries[2]"
+
+
 class TestShadows:
     def test_edge_shadow(self):
         v = edge_shadow(7, Edge(2, 6))
