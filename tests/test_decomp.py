@@ -457,32 +457,10 @@ class TestToMatchingPair:
 
 
 @st.composite
-def small_shadows(draw):
-    """The shadow of 1 to 6 edges with multiplicities +-1 or +-2, at n in
-    1..40 (odd and even, every n mod 6)."""
-    n = draw(st.integers(1, 40))
-    coord = st.integers(0, n - 1)
-    phi = SignedEdgeSet(n)
-    for x, y, m in draw(st.lists(st.tuples(coord, coord, st.sampled_from([-2, -1, 1, 2])),
-                                 min_size=1, max_size=6)):
-        phi.add(Edge(x, y), m)
-    return shadow(phi)
-
-
-@settings(max_examples=100, deadline=None)
-@given(small_shadows())
-@example(shadow(SignedEdgeSet(3, {Edge(0, 1): -2, Edge(1, 1): 1})))
-def test_decompose_bounded_realizes_every_member(v):
-    """Every lattice member is realized exactly, at n = 3 (below
-    bidc_reduce's n >= 4) too."""
-    assert shadow(decompose_bounded(v).phi) == v
-
-
-@st.composite
-def signed_members(draw):
-    """The shadow of 1 to 150 signed edges with multiplicities +-1..+-3,
+def signed_shadows(draw, max_edges: int):
+    """The shadow of 1 to max_edges edges with multiplicities +-1..+-3,
     at n in 1..40 (odd and even, every n mod 6)."""
-    n, k = draw(st.integers(1, 40)), draw(st.integers(1, 150))
+    n, k = draw(st.integers(1, 40)), draw(st.integers(1, max_edges))
     coord = st.integers(0, n - 1)
     phi = SignedEdgeSet(n)
     for x, y, m in draw(st.lists(st.tuples(coord, coord, st.sampled_from([-3, -2, -1, 1, 2, 3])),
@@ -491,8 +469,17 @@ def signed_members(draw):
     return shadow(phi)
 
 
+@settings(max_examples=100, deadline=None)
+@given(signed_shadows(6))
+@example(shadow(SignedEdgeSet(3, {Edge(0, 1): -2, Edge(1, 1): 1})))
+def test_decompose_bounded_realizes_every_member(v):
+    """Every lattice member is realized exactly, at n = 3 (below
+    bidc_reduce's n >= 4) too."""
+    assert shadow(decompose_bounded(v).phi) == v
+
+
 @settings(max_examples=60, deadline=None)
-@given(signed_members())
+@given(signed_shadows(150))
 def test_edge_cover_matches_the_reference(v):
     """The same phi, entry for entry and in the same order, and the same
     phases as with the edge cover that rebuilds its unit maps per edge."""
