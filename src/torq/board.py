@@ -7,9 +7,9 @@ mod n.  Placing a queen at (x, y) uses the edge
 (x, y, x+y mod n, x-y mod n).  The semi-queens variant drops the D part.
 This module owns each board's parts, the one vertex numbering
 (vertex_index) and the edge masks built on it: bit vertex_index(n, v)
-for each vertex v, so vertex overlap is one AND, in the perfect-matching
-search and in torq.decomp's link searches; verification compares Vertex
-sets instead.
+for each vertex v, so vertex overlap is one AND, in the exact-cover
+search for perfect matchings (_exact_cover) and in torq.decomp's link
+searches; verification compares Vertex sets instead.
 
 Coordinates are stored as canonical residues 0..n-1; the "centered"
 representative (odd n: [-(n-1)/2, (n-1)/2], even n: [-n/2+1, n/2]) is a
@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError
@@ -183,11 +185,11 @@ class TorusGraph:
     def edge_vertices(self, e: Edge) -> tuple[Vertex, ...]:
         return e.vertices(self.n)[: len(self.parts())]
 
-    def edge_mask(self, e: Edge) -> int:
-        """An int with bit vertex_index(n, v) for each vertex v of e on
-        this board: two edges of this board share a vertex exactly when
-        their masks share a bit."""
-        n, x, y = self.n, e.x, e.y
+    def edge_mask(self, e: tuple[int, int]) -> int:
+        """An int with bit vertex_index(n, v) for each vertex v of e, an
+        Edge or a plain (x, y) pair, on this board: two edges of this
+        board share a vertex exactly when their masks share a bit."""
+        n, (x, y) = self.n, e
         mask = 1 << x | 1 << (n + y) | 1 << (2 * n + (x + y) % n)
         if Part.D in self.parts():
             mask |= 1 << (3 * n + (x - y) % n)
@@ -271,37 +273,75 @@ def verify_matching(
     return MatchingReport(True, False)
 
 
-def _first_matching(
-    rows: Sequence[Sequence[tuple[Edge, int]]], node_cap: int
-) -> tuple[list[Edge] | None, bool]:
-    """The first pick of one (edge, edge mask) candidate per row, in the
-    order listed, whose masks are pairwise disjoint; or None.  Each row
-    visited is a node, and the search stops past node_cap nodes; the
-    flag says it stopped early.  Nodes are its only budget: it never
-    reads the clock, so a caller with a deadline checks it between
-    calls, and the answer does not depend on machine speed."""
-    chosen: list[Edge] = []
+def _exact_cover(masks: Sequence[int], items: int, node_cap: int) -> tuple[list[int] | None, bool]:
+    """Indices, in ascending order, of masks that cover each bit of
+    items exactly once; or None.  Every bit of a mask is an item.
+
+    Knuth's Algorithm X: each node branches on the uncovered item with
+    the fewest live options, the lowest bit among ties, and tries those
+    options in the order listed.  The live options are one int over
+    option indices, and placing option i keeps those whose masks miss
+    its mask, alive & ~conflict[i].  The items' live-option counts are
+    one list, kept current as Dancing Links keeps them: the child's list
+    is the parent's less one per item of each option that placing i
+    removes, which are few, and i's own items get a count above any
+    live one.  Each node visited counts, and the search stops past
+    node_cap nodes; the flag says it stopped early.  Nodes are its only
+    budget: it never reads the clock, so a caller with a deadline checks
+    it between calls, and the answer does not depend on machine speed."""
+    # Items by position: the p-th lowest bit of items.
+    position = {b: p for p, b in enumerate(_bits(items))}
+    covers = [[position[b] for b in _bits(mask)] for mask in masks]
+    holders = [0] * len(position)
+    for i, ps in enumerate(covers):
+        for p in ps:
+            holders[p] |= 1 << i
+    conflict = [reduce(or_, [holders[p] for p in ps], 0) for ps in covers]
+    covered = len(masks) + 1
+    chosen: list[int] = []
     nodes = 0
     truncated = False
 
-    def rec(idx: int, used: int) -> bool:
+    def rec(counts: list[int], alive: int, left: int) -> bool:
+        # counts: each item's live options, or covered; left: items uncovered.
         nonlocal nodes, truncated
-        if idx == len(rows):
+        if not left:
             return True
         nodes += 1
         if nodes > node_cap:
             truncated = True
             return False
-        for e, mask in rows[idx]:
-            if used & mask:
-                continue
-            chosen.append(e)
-            if rec(idx + 1, used | mask):
+        options = holders[counts.index(min(counts))] & alive
+        while options:
+            low = options & -options
+            options ^= low
+            i = low.bit_length() - 1
+            removed = alive & conflict[i]
+            child = counts.copy()
+            for j in _bits(removed):
+                for p in covers[j]:
+                    child[p] -= 1
+            for p in covers[i]:
+                child[p] = covered
+            chosen.append(i)
+            if rec(child, alive ^ removed, left - len(covers[i])):
                 return True
             chosen.pop()
         return False
 
-    return (chosen if rec(0, 0) else None), truncated
+    counts = [h.bit_count() for h in holders]
+    found = rec(counts, (1 << len(masks)) - 1, len(holders))
+    return (sorted(chosen) if found else None), truncated
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # --- JSON I/O -----------------------------------------------------------

@@ -33,7 +33,7 @@ from .board import (
     Part,
     TorusGraph,
     Vertex,
-    _first_matching,
+    _exact_cover,
     centered,
     check_side,
     edge_at_centered,
@@ -435,9 +435,10 @@ def _exact_matching_cover(target: SupportVector) -> list[Edge] | None:
     """A matching whose shadow equals target exactly, if one is found.
 
     Only applicable to all-ones targets with the same number of units in
-    every part; tries each row unit's columns in ascending order with the
-    shared matching DFS, returning None when the target is out of scope,
-    no matching exists, or the search visits 200,000 rows.
+    every part; the shared exact-cover search covers the target's units
+    by the edges between them, listed in (x, y) order, and the matching
+    comes back in that order.  None when the target is out of scope, no
+    matching exists, or the search visits 200,000 nodes.
     """
     n = target.n
     if not target.entries or any(w != 1 for w in target.entries.values()):
@@ -448,11 +449,11 @@ def _exact_matching_cover(target: SupportVector) -> list[Edge] | None:
         return None
     g = TorusGraph(n)
     ss, ds = set(units[Part.S]), set(units[Part.D])
-    rows = []
-    for x in units[Part.X]:
-        edges = (Edge(x, y) for y in units[Part.Y])
-        rows.append([(e, g.edge_mask(e)) for e in edges if e.s(n) in ss and e.d(n) in ds])
-    return _first_matching(rows, 200_000)[0]
+    edges = [e for x in units[Part.X] for y in units[Part.Y]
+             if (e := Edge(x, y)).s(n) in ss and e.d(n) in ds]
+    items = sum(1 << vertex_index(n, v) for v in target.entries)
+    found = _exact_cover([g.edge_mask(e) for e in edges], items, 200_000)[0]
+    return None if found is None else [edges[i] for i in found]
 
 
 def _put_edge(phi: SignedEdgeSet, residual: SupportVector, e: Edge, m: int) -> None:

@@ -15,8 +15,10 @@ Every search keeps its state in int bitmasks: the columns and diagonals
 blocked in the current row; in the WSet search, one mask per attacking
 pair of the elements and diagonal classes it uses, so placing a pair
 filters the open pairs with one AND each; and in the punctured-torus
-matching search (``torq.board``'s shared DFS) the union of the chosen
-squares' edge masks, which each candidate is tested against in one AND.
+matching search (``torq.board``'s shared exact-cover search, which
+branches on the vertex with the fewest squares left) the live squares
+as one int over the candidate list, which placing a square filters
+with one AND.
 Search budgets count restarts and nodes, so the answer never depends on
 machine speed.  Wall clock only aborts a run, and the punctured-torus
 search reads it only between restarts and between WSets: a timeout
@@ -40,7 +42,7 @@ from .board import (
     Part,
     TorusGraph,
     Vertex,
-    _first_matching,
+    _exact_cover,
     attacks,
     check_side,
     placement_to_json,
@@ -542,16 +544,23 @@ def extend_classical(
     """Classical n-queens placement with exactly six toroidal attack
     pairs, from a perfect matching of the punctured torus.
 
-    Searches for a perfect matching of T(n) minus W by depth-first
-    search with seed-shuffled row and column orders, restarting with a
-    fresh shuffle whenever the cap of 50,000 nodes is hit, at most
-    _RESTARTS times.  The clock is read only between restarts: the
-    budget can stop the next restart, never a running one, so a run
-    overruns budget_seconds by at most one restart and the budget never
-    picks the answer.  w verified itself when it was built.  A found
-    matching is combined with the 12 fixed queens and the result is
-    fully verified before being returned: no classical attacks, and
-    exactly six toroidal attack pairs, all among the fixed queens.
+    Searches for a perfect matching of T(n) minus W with torq.board's
+    exact-cover search: every live vertex is an item and every live
+    square an option, listed row by row in a seed-shuffled row order,
+    each row's squares in a fresh seed-shuffled column order.  Each node
+    branches on the vertex with the fewest squares left, the lowest
+    vertex bit among ties (rows first), and tries them in that listed
+    order.  A restart with a fresh shuffle follows whenever the cap of
+    50,000 nodes is hit, at most _RESTARTS times; a restart that
+    exhausts its search proves that no perfect matching exists.  The
+    matching comes back in the listed order.  The clock is read only
+    between restarts: the budget can stop the next restart, never a
+    running one, so a run overruns budget_seconds by at most one restart
+    and the budget never picks the answer.  w verified itself when it
+    was built.  A found matching is combined with the 12 fixed queens
+    and the result is fully verified before being returned: no classical
+    attacks, and exactly six toroidal attack pairs, all among the fixed
+    queens.
     Raises CapacityError when the restarts or the budget run out,
     PreconditionError("budget_seconds") for a NaN budget, whose deadline
     would never pass, and PreconditionError("n") when w is for another n.
@@ -562,6 +571,10 @@ def extend_classical(
     dead = tstar.removed_mask()
     rows = [r for r in range(n) if not dead >> r & 1]
     cols = [c for c in range(n) if not dead >> (n + c) & 1]
+    # T*'s squares as a row -> column -> edge mask table, built once
+    # from the vertex bits, without the squares on removed diagonals.
+    masks = {r: {c: m for c in cols if not (m := tstar.edge_mask((r, c))) & dead} for r in rows}
+    items = (1 << 4 * n) - 1 & ~dead
     deadline = time.monotonic() + budget_seconds
 
     for restart in range(_RESTARTS):
@@ -570,16 +583,11 @@ def extend_classical(
         rng = Random((seed << 20) + restart)
         order = rows[:]
         rng.shuffle(order)
-        # One candidate list per live row, in the shuffled order of the
-        # live columns, with squares on removed diagonals dropped.
-        choices = [
-            [(e, m) for c in rng.sample(cols, len(cols))
-             if not (m := tstar.edge_mask(e := Edge(r, c))) & dead]
-            for r in order
-        ]
-        found, truncated = _first_matching(choices, 50_000)
+        # Each live row's squares in a shuffled order of the live columns.
+        squares = [(r, c) for r in order for c in rng.sample(cols, len(cols)) if c in masks[r]]
+        found, truncated = _exact_cover([masks[r][c] for r, c in squares], items, 50_000)
         if found is not None:
-            return _assemble_extension(tstar, w, Matching.of(found))
+            return _assemble_extension(tstar, w, Matching.of(Edge(*squares[i]) for i in found))
         if not truncated:
             # The restart ran to exhaustion: this punctured torus has no
             # perfect matching at all, so further restarts are pointless.
@@ -602,13 +610,13 @@ def extend_classical_search(
     At desk scale the lexicographically smallest WSet often leaves a
     punctured torus with no perfect matching at all, so this walks the
     WSets in lexicographic order, giving each at most eight restarts of
-    extend_classical's node-capped DFS (provably empty punctured tori
-    are dismissed in one exhausted restart).  The answer depends only
-    on (n, seed).  The clock is read only between restarts and between
-    WSets, so running out of budget_seconds aborts the walk with
-    CapacityError after at most one more 50,000-node restart or the
-    walk to the next WSet (about 2 s at n = 26 and 27, where the first
-    WSet takes that long); it never moves on to another WSet.
+    extend_classical's node-capped exact-cover search (provably empty
+    punctured tori are dismissed in one exhausted restart).  The answer
+    depends only on (n, seed).  The clock is read only between restarts
+    and between WSets, so running out of budget_seconds aborts the walk
+    with CapacityError after at most one more 50,000-node restart or the
+    walk to the next WSet (about 1.4 and 1.8 s at n = 26 and 27, where
+    the first WSet takes that long); it never moves on to another WSet.
     """
     deadline = time.monotonic() + budget_seconds
     for w in wset_candidates(n):

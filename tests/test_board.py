@@ -7,10 +7,11 @@ from torq.board import (
     BoardKind,
     Edge,
     Matching,
+    PART_ORDER,
     Part,
     TorusGraph,
     Vertex,
-    _first_matching,
+    _exact_cover,
     attacks,
     centered,
     edge_at_centered,
@@ -21,9 +22,11 @@ from torq.board import (
     vertex_index,
 )
 from torq.errors import PreconditionError
-from torq.decomp import make_config
-from torq.lattice import SupportVector, edge_shadow
+from torq.decomp import _exact_matching_cover, make_config
+from torq.lattice import SignedEdgeSet, SupportVector, edge_shadow, shadow, sv
 from torq.solvers import count_toroidal, max_partial_toroidal
+
+from matching_reference import first_matching_reference
 
 
 class TestCentered:
@@ -204,24 +207,115 @@ def test_board_model_agrees_with_its_vertices(g):
     assert g.matching_bound() == min(live)
 
 
-class TestFirstMatching:
+class TestExactCover:
     @staticmethod
-    def rows(n):
-        """T(n) by rows, each row's squares in ascending column order."""
+    def masks(n):
+        """T(n)'s edge masks in (x, y) order."""
         g = TorusGraph(n)
-        return [[(Edge(x, y), g.edge_mask(Edge(x, y))) for y in range(n)] for x in range(n)]
+        return [g.edge_mask((x, y)) for x in range(n) for y in range(n)]
 
-    def test_finds_the_first_matching_in_row_order(self):
-        found, truncated = _first_matching(self.rows(5), 1000)
-        assert found == [Edge(x, 2 * x % 5) for x in range(5)] and not truncated
-        assert verify_matching(TorusGraph(5), found, require_perfect=True).perfect
+    def test_branches_on_the_item_with_fewest_options(self):
+        # Item 4 has one option, {1, 2, 4}, which forces {0, 3}: two
+        # nodes.  Branching on item 0 first would try {0, 1} at a third.
+        masks = [0b00011, 0b01100, 0b01001, 0b10110]
+        assert _exact_cover(masks, 0b11111, 2) == ([2, 3], False)
+        assert _exact_cover(masks, 0b11111, 1) == (None, True)
+
+    def test_ties_go_to_the_lowest_item(self):
+        # Every item has two options.  Item 0 tries {0, 1} first, which
+        # leaves {2, 3}; item 2 would have tried {1, 2} first.
+        masks = [0b0011, 0b0110, 0b1100, 0b1001]
+        assert _exact_cover(masks, 0b1111, 10) == ([0, 2], False)
+
+    def test_every_item_needs_an_option(self):
+        assert _exact_cover([0b011, 0b100], 0b111, 10) == ([0, 1], False)
+        assert _exact_cover([0b011], 0b111, 10) == (None, False)
+
+    def test_finds_a_perfect_matching_of_t5(self):
+        found, truncated = _exact_cover(self.masks(5), (1 << 20) - 1, 1000)
+        assert [divmod(i, 5) for i in found] == [(x, 2 * x % 5) for x in range(5)]
+        assert not truncated
+        edges = [Edge(*divmod(i, 5)) for i in found]
+        assert verify_matching(TorusGraph(5), edges, require_perfect=True).perfect
 
     def test_exhausted_search_is_not_truncated(self):
         # T(6) has no perfect matching.
-        assert _first_matching(self.rows(6), 10**6) == (None, False)
+        assert _exact_cover(self.masks(6), (1 << 24) - 1, 10**6) == (None, False)
 
     def test_node_cap_truncates(self):
-        assert _first_matching(self.rows(6), 10) == (None, True)
+        assert _exact_cover(self.masks(6), (1 << 24) - 1, 10) == (None, True)
+
+
+#: A node cap no search in these tests reaches.
+UNCAPPED = 10**12
+
+
+@st.composite
+def punctured_boards(draw, residue):
+    """T(n) minus the same number of vertices in every part, for an n in
+    7..24 of the given residue mod 6.  At most 9 vertices of a part stay
+    live, so the row-order reference can exhaust the board.  Half the
+    boards keep exactly the vertices of a random matching, so that a
+    perfect matching exists."""
+    n = draw(st.sampled_from([n for n in range(7, 25) if n % 6 == residue]))
+    m = draw(st.integers(1, min(n, 9)))
+    if draw(st.booleans()):
+        rng = draw(st.randoms(use_true_random=False))
+        g = TorusGraph(n)
+        used, edges = 0, []
+        for e, mask in rng.sample(g.edges(), n * n):
+            if len(edges) < m and not used & mask:
+                used |= mask
+                edges.append(e)
+        live = [{v.coord for e in edges for v in e.vertices(n) if v.part is p} for p in PART_ORDER]
+    else:
+        live = [draw(st.sets(st.integers(0, n - 1), min_size=m, max_size=m)) for _ in PART_ORDER]
+    removed = frozenset(Vertex(p, c) for p, keep in zip(PART_ORDER, live)
+                        for c in range(n) if c not in keep)
+    return TorusGraph(n, removed=removed)
+
+
+@pytest.mark.parametrize("residue", range(6))
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_exact_cover_agrees_with_the_row_order_reference(residue, data):
+    """On a punctured board, the exact-cover search and the row-order
+    DFS agree on whether a perfect matching exists, and each one found
+    verifies."""
+    g = data.draw(punctured_boards(residue))
+    n, live_edges = g.n, g.edges()
+    items = (1 << 4 * n) - 1 & ~g.removed_mask()
+    found, truncated = _exact_cover([mask for _, mask in live_edges], items, UNCAPPED)
+    rows = [[(e, mask) for e, mask in live_edges if e.x == x]
+            for x in range(n) if g.has_vertex(Vertex(Part.X, x))]
+    ref, ref_truncated = first_matching_reference(rows, UNCAPPED)
+    assert not truncated and not ref_truncated
+    assert (found is None) == (ref is None)
+    for m in ([live_edges[i][0] for i in found] if found is not None else None, ref):
+        if m is not None:
+            assert verify_matching(g, m, require_perfect=True).perfect
+
+
+@pytest.mark.parametrize("residue", range(6))
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_exact_matching_cover_agrees_with_the_row_order_reference(residue, data):
+    """An all-ones target with k units in every part: decompose's exact
+    matching cover finds a matching exactly when the row-order DFS over
+    the same candidates does, and its matching shadows the target."""
+    g = data.draw(punctured_boards(residue))
+    n = g.n
+    target = sv(n, [(v.part, v.coord, 1) for v in g.vertices()])
+    found = _exact_matching_cover(target)
+    units = {p: [v.coord for v in g.vertices() if v.part is p] for p in PART_ORDER}
+    rows = [[(e, g.edge_mask(e)) for y in units[Part.Y] if g.has_edge(e := Edge(x, y))]
+            for x in units[Part.X]]
+    ref, ref_truncated = first_matching_reference(rows, UNCAPPED)
+    assert not ref_truncated
+    assert (found is None) == (ref is None)
+    if found is not None:
+        assert verify_matching(g, found, require_perfect=True).perfect
+        assert shadow(SignedEdgeSet(n, dict.fromkeys(found, 1))) == target
 
 
 class TestAttacks:

@@ -295,15 +295,16 @@ class TestMonsky:
 
 
 class TestExtend:
-    # The answer is the 170th WSet at n=30, found at its second restart;
-    # it does not depend on how fast the machine walks the WSets.
+    # The answer is the 170th WSet at n=30, found at its first restart;
+    # every WSet before it is refuted by exhausting its search, so the
+    # answer does not depend on how fast the machine walks the WSets.
     PINNED = (
         '{"fixed_queens":[[0,1],[2,29],[13,7],[4,28],[3,9],[19,23],[24,15],'
         '[6,27],[5,8],[22,21],[26,11],[10,25]],"mode":"classical","n":30,'
         '"queens":[[0,1],[2,29],[13,7],[4,28],[3,9],[19,23],[24,15],[6,27],'
-        '[5,8],[22,21],[26,11],[10,25],[18,10],[12,14],[28,12],[29,16],'
-        '[17,17],[1,24],[27,22],[25,4],[9,5],[14,2],[20,18],[23,0],[21,3],'
-        '[15,26],[7,20],[16,6],[8,13],[11,19]],"schema":"torq/1",'
+        '[5,8],[22,21],[26,11],[10,25],[20,18],[17,17],[1,24],[28,12],'
+        '[8,13],[27,22],[18,10],[9,5],[12,14],[29,16],[25,4],[14,2],[15,26],'
+        '[16,6],[11,19],[7,20],[23,0],[21,3]],"schema":"torq/1",'
         '"toroidal_attack_pairs":[[0,1],[2,3],[4,5],[6,7],[8,9],[10,11]]}\n'
     )
 

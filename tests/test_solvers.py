@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from torq.board import Edge, TorusGraph, verify_matching
 from torq.errors import CapacityError, PreconditionError, VerificationError
 from torq.solvers import (
     WSet,
@@ -61,7 +62,7 @@ FIRST_WSETS = {
 }
 
 # The punctured-torus matching extend_classical(n, EXTENDABLE_TUPLES[n],
-# seed=0) returns, edge by edge.
+# seed=0) returns, edge by edge, in the order of its rows' shuffle.
 SEED0_MATCHINGS = {
     27: ((2, 15), (18, 21), (17, 26), (12, 12), (20, 7), (3, 11), (4, 22),
          (14, 9), (16, 6), (11, 10), (1, 5), (25, 0), (23, 19), (13, 18),
@@ -69,6 +70,13 @@ SEED0_MATCHINGS = {
     28: ((18, 10), (25, 21), (12, 20), (2, 15), (17, 6), (5, 16), (9, 18),
          (19, 3), (24, 0), (15, 22), (16, 26), (11, 8), (1, 4), (13, 7),
          (27, 14), (23, 13)),
+    30: ((20, 18), (17, 17), (1, 24), (28, 12), (8, 13), (27, 22), (18, 10),
+         (9, 5), (12, 14), (29, 16), (25, 4), (14, 2), (15, 26), (16, 6),
+         (11, 19), (7, 20), (23, 0), (21, 3)),
+}
+# What the row-order DFS returned where it differs: at n = 30 it found
+# the same squares at its second restart, so under another row shuffle.
+ROW_ORDER_MATCHINGS = {
     30: ((18, 10), (12, 14), (28, 12), (29, 16), (17, 17), (1, 24), (27, 22),
          (25, 4), (9, 5), (14, 2), (20, 18), (23, 0), (21, 3), (15, 26),
          (7, 20), (16, 6), (8, 13), (11, 19)),
@@ -326,6 +334,15 @@ class TestExtendClassical:
         w = wset_from_tuples(n, EXTENDABLE_TUPLES[n])
         ext = extend_classical(n, w, seed=0)
         assert tuple((e.x, e.y) for e in ext.matching) == SEED0_MATCHINGS[n]
+
+    @pytest.mark.parametrize("pinned", [SEED0_MATCHINGS, ROW_ORDER_MATCHINGS],
+                             ids=["exact-cover", "row-order"])
+    def test_pinned_matchings_are_perfect_on_their_tstar(self, pinned):
+        for n, squares in pinned.items():
+            w = wset_from_tuples(n, EXTENDABLE_TUPLES[n])
+            tstar = TorusGraph(n, removed=w.removed_vertices)
+            report = verify_matching(tstar, [Edge(x, y) for x, y in squares], require_perfect=True)
+            assert report.valid and report.perfect, n
 
     def test_rejects_wset_for_other_n(self):
         w = wset_from_tuples(30, EXTENDABLE_TUPLES[30])
