@@ -70,6 +70,13 @@ def check_side(n: int) -> None:
         raise PreconditionError("n", "board side must be >= 1")
 
 
+def check_seed(seed: int) -> None:
+    """Reject a negative seed, naming the field seed: Random seeds by
+    absolute value, so -s would alias s."""
+    if seed < 0:
+        raise PreconditionError("seed", f"must be a non-negative integer, got {seed}")
+
+
 def centered(n: int, coord: int) -> int:
     """Centered representative of a residue: odd n -> [-(n-1)/2,(n-1)/2],
     even n -> [-n/2+1, n/2]."""

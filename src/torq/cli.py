@@ -23,7 +23,7 @@ from random import Random
 import click
 
 from . import decomp, greedy, lattice, solvers
-from .board import SCHEMA, Part, TorusGraph, check_side, dumps, square, vector_board
+from .board import SCHEMA, Part, TorusGraph, check_seed, check_side, dumps, square, vector_board
 from .errors import CapacityError, PreconditionError, VerificationError
 
 
@@ -177,7 +177,9 @@ def decompose(
 @click.option("--out", type=str, default=None)
 def zsc(n: int, seed: int, out: str | None) -> None:
     """A random valid zero-sum configuration, deterministic per seed."""
-    check_side(n)
+    if n <= 4:
+        raise PreconditionError("n", f"a valid zero-sum configuration needs n >= 5, got {n}")
+    check_seed(seed)
     rng = Random(seed)
     for _ in range(100_000):
         cfg = decomp.make_config(

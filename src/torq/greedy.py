@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .board import BoardKind, Edge, Matching, Part, TorusGraph, centered
+from .board import BoardKind, Edge, Matching, Part, TorusGraph, centered, check_seed
 from .errors import PreconditionError, VerificationError
 
 
@@ -272,11 +272,6 @@ class _LiveBoard:
             raise VerificationError(f"Q = {self.q} drifted from the masks")
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise PreconditionError("seed", f"must be a non-negative integer, got {seed}")
-
-
 def run_greedy(g: TorusGraph, seed: int, stop_fraction: float) -> GreedyTrace:
     """Run the uniform random greedy matching process on g.
 
@@ -289,7 +284,7 @@ def run_greedy(g: TorusGraph, seed: int, stop_fraction: float) -> GreedyTrace:
     """
     if not (0.0 < stop_fraction <= 1.0):
         raise PreconditionError("stop_fraction", f"must be in (0, 1], got {stop_fraction}")
-    _check_seed(seed)
+    check_seed(seed)
     if g.vertex_count() == 0:
         raise PreconditionError("board", f"the n={g.n} board has no vertex left")
     n = g.n
@@ -407,7 +402,7 @@ def knuth_count_estimator(g: TorusGraph, trials: int, seed: int = 0) -> float:
     trials draw in turn from one stream, default_rng(seed).  Raises
     PreconditionError("trials") for fewer than one trial.
     """
-    _check_seed(seed)
+    check_seed(seed)
     if trials < 1:
         raise PreconditionError("trials", f"an estimate needs at least one trial, got {trials}")
     masks = [mask for _, mask in g.edges()]

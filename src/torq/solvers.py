@@ -44,6 +44,7 @@ from .board import (
     Vertex,
     _exact_cover,
     attacks,
+    check_seed,
     check_side,
     placement_to_json,
     verify_matching,
@@ -287,7 +288,7 @@ def _congruence_holds(n: int, case: str, total: int) -> bool:
     return (1 + 2 * total) % 3 == 0
 
 
-def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
+def wset_candidates(n: int, node_limit: int = 10_000_000) -> Iterator[WSet]:
     """All WSets for n in lexicographic order of their flattened tuples.
 
     Each call first lists every sum pair (a, b, x, y), the two queens
@@ -305,11 +306,10 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
     Octets 0 and 1 also prune on having enough disjoint small-sum pairs
     left for the octets after them.
 
-    node_limit counts (a, b) probes: each sum-pair level the search
-    enters walks a in 1..n//2-1 unused and b in 1..n//2-a.  The probes
-    are charged in bulk, from offsets each call memoises by the used
-    elements in 1..n//2, and CapacityError comes before any WSet whose
-    probe count is past the limit.
+    node_limit counts octets placed: at octets 0 and 1 each (sum pair,
+    difference pair) that leaves enough small-sum pairs for the octets
+    after it, and at octet 2 each WSet.  CapacityError comes before any
+    WSet whose count is past the limit.
     """
     if n < 26:
         raise PreconditionError("n", "need n >= 26 for 24 distinct elements")
@@ -349,11 +349,8 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
                     diffs.append((m, t, c, d, w, z))
     octets: list[tuple[int, ...]] = []
     nodes = 0
-    # Per used elements in 1..half: small_pairs_available's pair count,
-    # and the probes made before each a's first b (the last entry is
-    # the level's whole count).
+    # Per used elements in 1..half: small_pairs_available's pair count.
     pair_counts: dict[int, int] = {}
-    probe_offsets: dict[int, list[int]] = {}
 
     def small_pairs_available(needed: int, used: int) -> bool:
         # Each octet still to build consumes a distinct pair of elements
@@ -374,39 +371,22 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
             pair_counts[key] = pairs
         return pairs >= needed
 
-    def charge(probes: int) -> None:
+    def charge() -> None:
         nonlocal nodes
-        nodes += probes
+        nodes += 1
         if nodes > node_limit:
             raise CapacityError(f"WSet search exceeded {node_limit} nodes")
-
-    def level_probes(used: int) -> list[int]:
-        # Entry a: the probes a sum-pair level with these used elements
-        # makes before (a, 1); the last entry is the level's whole count.
-        key = used & low
-        offsets = probe_offsets.get(key)
-        if offsets is None:
-            offsets = [0, 0]
-            for a in range(1, half):
-                offsets.append(offsets[a] + (0 if key >> a & 1 else half - a))
-            probe_offsets[key] = offsets
-        return offsets
 
     def octet(i: int, used: int, sums: list, diffs: list, total: int) -> Iterator[WSet]:
         # Octet i's sum pair, its difference pair, then octet i + 1;
         # used is the union of the masks placed, and total the running
         # sum of a + b + c - d.
-        offsets = level_probes(used)
-        last = 0
         for m, a, b, x, y in sums:
-            probe = offsets[a] + b
-            if probe != last:
-                charge(probe - last)
-                last = probe
             if i == 2:
                 ts = congruent_ts[(total + a + b) % 12]
                 for m_q, t, c, d, w, z in diffs:
                     if not m_q & m and ts >> t & 1:
+                        charge()
                         yield WSet(n, (*octets, (a, b, x, y, c, d, w, z)))
                 continue
             if not small_pairs_available(2 - i, used | 1 << a | 1 << b):
@@ -417,35 +397,33 @@ def wset_candidates(n: int, node_limit: int = 200_000_000) -> Iterator[WSet]:
                 u = used | m | m_q
                 if not small_pairs_available(2 - i, u):
                     continue
-                next_diffs = [q for q in open_diffs if not q[0] & m_q]
-                if next_diffs:
-                    if open_sums is None:
-                        open_sums = [p for p in sums if not p[0] & m]
-                    next_sums = [p for p in open_sums if not p[0] & m_q]
-                    if next_sums:
-                        octets.append((a, b, x, y, c, d, w, z))
-                        yield from octet(i + 1, u, next_sums, next_diffs, total + a + b + t)
-                        octets.pop()
-                        continue
+                charge()
                 # A level with no sum or no difference pair open yields
-                # nothing and makes every one of its probes.
-                charge(level_probes(u)[half])
-        charge(offsets[half] - last)
+                # nothing, so it is not entered.
+                next_diffs = [q for q in open_diffs if not q[0] & m_q]
+                if not next_diffs:
+                    continue
+                if open_sums is None:
+                    open_sums = [p for p in sums if not p[0] & m]
+                next_sums = [p for p in open_sums if not p[0] & m_q]
+                if next_sums:
+                    octets.append((a, b, x, y, c, d, w, z))
+                    yield from octet(i + 1, u, next_sums, next_diffs, total + a + b + t)
+                    octets.pop()
 
     try:
         yield from octet(0, 0, sums, diffs, 0)
     finally:
         # octet's closure holds octet itself, so this call's cells live
-        # on until the next cyclic collection; empty the memos, their
+        # on until the next cyclic collection; empty the memo, their
         # bulk, as soon as the search ends or is dropped.
         pair_counts.clear()
-        probe_offsets.clear()
 
 
 def build_wset(n: int) -> WSet:
     """The lexicographically smallest WSet for n's divisibility case,
-    searched within 20,000,000 nodes."""
-    for wset in wset_candidates(n, 20_000_000):
+    searched within 1,000,000 nodes."""
+    for wset in wset_candidates(n, 1_000_000):
         return wset
     raise CapacityError(f"no WSet exists within the searched range for n={n}")
 
@@ -563,8 +541,10 @@ def extend_classical(
     queens.
     Raises CapacityError when the restarts or the budget run out,
     PreconditionError("budget_seconds") for a NaN budget, whose deadline
-    would never pass, and PreconditionError("n") when w is for another n.
+    would never pass, PreconditionError("seed") for a negative seed and
+    PreconditionError("n") when w is for another n.
     """
+    check_seed(seed)
     if math.isnan(budget_seconds):
         raise PreconditionError("budget_seconds", "must be a number of seconds, got nan")
     tstar = _punctured(n, w)
@@ -618,6 +598,7 @@ def extend_classical_search(
     walk to the next WSet (about 1.4 and 1.8 s at n = 26 and 27, where
     the first WSet takes that long); it never moves on to another WSet.
     """
+    check_seed(seed)
     deadline = time.monotonic() + budget_seconds
     for w in wset_candidates(n):
         try:

@@ -13,6 +13,7 @@ from unittest import mock
 import click
 from hypothesis import example, given, settings, strategies as st
 
+from torq import decomp
 from torq.board import Part, edge_at_centered
 from torq.cli import cli, main
 from torq.errors import CapacityError, PreconditionError
@@ -218,6 +219,22 @@ class TestZsc:
         b = run_cli("zsc", "--n", "101", "--seed", "1")
         assert a.stdout != b.stdout
 
+    def test_small_sides_rejected_at_once(self):
+        # Over every parameter set, no configuration is valid below
+        # n = 5 and one is at n = 5, so zsc rejects n <= 4 before drawing.
+        for n in range(1, 6):
+            valid = any(
+                decomp.make_config(n, *p).valid for p in itertools.product(range(n), repeat=4)
+            )
+            assert valid == (n == 5), n
+        for n, code in ((4, 2), (5, 0)):
+            err = io.StringIO()
+            with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+                  mock.patch("torq.decomp.make_config", wraps=decomp.make_config) as make):
+                assert main(["zsc", "--n", str(n)]) == code
+            assert make.called == (code == 0)
+            assert err.getvalue().startswith("error: n: ") == (code == 2)
+
 
 class TestGreedy:
     def test_trace_csv(self):
@@ -404,6 +421,8 @@ class TestErrors:
             (("greedy", "--n", "5", "--b", "-inf"), "b"),
             (("greedy", "--n", "5", "--seed", "-1"), "seed"),
             (("greedy", "--n", "5", "--seed", "-1", "--seeds", "2"), "seed"),
+            (("extend", "--n", "36", "--seed", "-1"), "seed"),
+            (("zsc", "--n", "11", "--seed", "-1"), "seed"),
             (("greedy", "--n", "5", "--stop", "nan"), "stop_fraction"),
             (("greedy", "--n", "5", "--stop", "0"), "stop_fraction"),
             (("greedy", "--n", "5", "--stop", "2"), "stop_fraction"),

@@ -108,15 +108,14 @@ def brute_count(n: int, diagonals: str) -> int:
 
 @functools.cache
 def reference_wsets(n: int, count: int) -> tuple:
-    """The first count + 1 (tuples, probe count) pairs of the reference
+    """The first count + 1 (tuples, octet count) pairs of the reference
     WSet search."""
     return tuple((w.tuples, p) for w, p in itertools.islice(wset_reference(n), count + 1))
 
 
-# How many of the first WSets to compare with the reference, per n: each
-# count ends where the next WSet's probe count is larger.  The three
-# divisibility cases are 30 and 36, 28, 32 and 34, and 33; n = 27 is left
-# out, as its first WSet takes 4.8 million probes.
+# How many of the first WSets to compare with the reference, per n.  The
+# three divisibility cases are 30 and 36, 28, 32 and 34, and 33; n = 27 is
+# left out, as its first WSet takes 273,611 octets placed.
 REFERENCE_COUNTS = {28: 3, 30: 4, 32: 5, 33: 6, 34: 6, 36: 8}
 
 
@@ -276,10 +275,10 @@ class TestWSet:
         assert hashlib.sha256(json.dumps(got).encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize(
-        "n,nodes", [(28, 670_235), (30, 314_819), (32, 84_000), (33, 507)]
+        "n,nodes", [(28, 33_735), (30, 14_012), (32, 3_285), (33, 24)]
     )
     def test_node_limit(self, n, nodes):
-        # The first WSet comes out after exactly this many (a, b) probes.
+        # The first WSet comes out after exactly this many octets placed.
         with pytest.raises(CapacityError):
             next(wset_candidates(n, node_limit=nodes - 1))
         w = next(wset_candidates(n, node_limit=nodes))
@@ -293,10 +292,10 @@ class TestWSet:
 
     @pytest.mark.parametrize("n", [30, 32, 33, 34, 36])
     def test_node_limits_match_reference(self, n):
-        # At node limits around the first WSets' probe counts and at a
+        # At node limits around the first WSets' octet counts and at a
         # few random ones, the search yields what the reference yields
         # within the limit, then raises CapacityError.  Every limit is
-        # below the probe count of the first WSet not compared.
+        # below the octet count of the first WSet not compared.
         ref = reference_wsets(n, REFERENCE_COUNTS[n])
         below = ref[-1][1]
         rng = random.Random(n)
@@ -317,6 +316,15 @@ class TestWSet:
 
 
 class TestExtendClassical:
+    def test_negative_seed_rejected(self):
+        # Random seeds by absolute value, so seed -1 would repeat seed 1.
+        w = wset_from_tuples(30, EXTENDABLE_TUPLES[30])
+        for call in (lambda: extend_classical(30, w, seed=-1),
+                     lambda: extend_classical_search(30, seed=-1)):
+            with pytest.raises(PreconditionError) as exc:
+                call()
+            assert exc.value.condition == "seed"
+
     def test_extension_from_known_tuples(self):
         n = 30
         w = wset_from_tuples(n, EXTENDABLE_TUPLES[n])

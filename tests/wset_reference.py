@@ -1,9 +1,9 @@
 """The two-generator WSet search: the reference for torq.solvers'
 wset_candidates, which searches two pre-built pair lists instead.
 
-Besides each WSet it yields the number of (a, b) probes made so far, so a
+Besides each WSet it yields the number of octets placed so far, so a
 test can tell which WSets come out before CapacityError at any
-node_limit: exactly those whose probe count is at most the limit.
+node_limit: exactly those whose octet count is at most the limit.
 """
 
 from typing import Iterator
@@ -12,15 +12,17 @@ from torq.errors import CapacityError, PreconditionError
 from torq.solvers import WSet, _congruence_holds, _wset_case
 
 
-def wset_reference(n: int, node_limit: int = 200_000_000) -> Iterator[tuple[WSet, int]]:
-    """(WSet, probe count) for every WSet for n, in lexicographic order.
+def wset_reference(n: int, node_limit: int = 10_000_000) -> Iterator[tuple[WSet, int]]:
+    """(WSet, octet count) for every WSet for n, in lexicographic order.
 
     Depth-first search over the free fields in the order a1, b1, x1, c1,
     d1, w1, a2, ... (y_i and z_i are determined), taking values in
     ascending order.  Two generators take turns: ``sum_pair`` places an
     octet's (a, b, x, y) and ``difference_pair`` its (c, d, w, z), before
-    recursing into the next octet's sum pair.  Every (a, b) probe counts
-    as one node against node_limit.
+    recursing into the next octet's sum pair.  Every octet placed counts
+    as one node against node_limit: a (sum pair, difference pair) that
+    leaves enough small-sum pairs for the octets after it, and at octet
+    2 each WSet.
     """
     if n < 26:
         raise PreconditionError("n", "need n >= 26 for 24 distinct elements")
@@ -62,14 +64,10 @@ def wset_reference(n: int, node_limit: int = 200_000_000) -> Iterator[tuple[WSet
 
     def sum_pair(i: int, used: int, svals: int, dvals: int, total: int) -> Iterator[None]:
         # Octet i's (a, b) and (x, y), with x + y = a + b + n.
-        nonlocal nodes
         for a in range(1, half):
             if used >> a & 1:
                 continue
             for b in range(1, half - a + 1):
-                nodes += 1
-                if nodes > node_limit:
-                    raise CapacityError(f"WSet search exceeded {node_limit} nodes")
                 if used >> b & 1 or b == a:
                     continue
                 s_ab = 1 << (a + b) % n | 1 << (a + b + delta) % n
@@ -98,6 +96,7 @@ def wset_reference(n: int, node_limit: int = 200_000_000) -> Iterator[tuple[WSet
     ) -> Iterator[None]:
         # Octet i's (c, d) and (w, z), with w - z = c - d - n; then the
         # next octet's sum pair, or the finished WSet after octet 2.
+        nonlocal nodes
         free = elements & ~used
         svals2 = svals | svals << n  # bit v is class v mod n, for v < 2n
         # Bit t of ts is set when the difference t = c - d in 1..half
@@ -136,6 +135,9 @@ def wset_reference(n: int, node_limit: int = 200_000_000) -> Iterator[tuple[WSet
                     u = used | cbit | dbit | wbit | 1 << z
                     octets.append((*abxy, c, d, w, z))
                     if small_pairs_available(2 - i, u):
+                        nodes += 1
+                        if nodes > node_limit:
+                            raise CapacityError(f"WSet search exceeded {node_limit} nodes")
                         if i == 2:
                             yield None
                         else:
