@@ -252,8 +252,6 @@ class _BinaryReducer:
         self.steps: list[tuple[str, int, int, int, int, int]] = []
 
     def record(self, phase: str, mult: int, a: int, b: int, c: int, s: int) -> None:
-        if mult == 0:
-            return
         n = self.n
         a, b, c, s = a % n, b % n, c % n, s % n
         if not _q_step_realizable(n, b, c, s):

@@ -483,67 +483,48 @@ HNF_MAX_N = 15
 class _EchelonLattice:
     """Integer lattice kept in row-echelon form (Hermite-style pivots).
 
-    Rows are dicts column-index -> value with a leading pivot column;
-    insertion eliminates against existing pivots using extended gcd.
+    Rows are dense lists of one length, keyed by their pivot column, the
+    first non-zero one, which holds a positive entry.  Insertion and
+    membership share one reduction against the stored pivots.
     """
 
     def __init__(self) -> None:
-        self.rows: dict[int, dict[int, int]] = {}  # pivot column -> row
+        self.rows: dict[int, list[int]] = {}  # pivot column -> row
 
-    @staticmethod
-    def _pivot(row: dict[int, int]) -> int | None:
-        live = [c for c, x in row.items() if x != 0]
-        return min(live) if live else None
+    def add(self, row: list[int]) -> None:
+        self._reduce(row, insert=True)
 
-    def add(self, vec: dict[int, int]) -> None:
-        row = {c: x for c, x in vec.items() if x != 0}
-        while True:
-            p = self._pivot(row)
-            if p is None:
-                return
-            if p not in self.rows:
-                lead = row[p]
-                if lead < 0:
-                    row = {c: -x for c, x in row.items()}
-                self.rows[p] = row
-                return
-            base = self.rows[p]
-            a, b = base[p], row[p]
+    def contains(self, row: list[int]) -> bool:
+        return self._reduce(row, insert=False)
+
+    def _reduce(self, row: list[int], insert: bool) -> bool:
+        """Eliminate row against the stored pivots, column by column in
+        ascending order, and return whether it reduces to zero.  Without
+        insert, an entry at a column with no pivot, or not a multiple of
+        its pivot, stops the reduction.  With insert, the extended gcd
+        merges such an entry into its pivot's row, and a row left at a
+        column with no pivot is stored there."""
+        for p in range(len(row)):
+            b = row[p]
+            if b == 0:
+                continue
+            base = self.rows.get(p)
+            if base is None:
+                if insert:
+                    self.rows[p] = row if b > 0 else [-x for x in row]
+                return False
+            a = base[p]
             if b % a == 0:
                 q = b // a
-                row = {
-                    c: row.get(c, 0) - q * base.get(c, 0)
-                    for c in set(row) | set(base)
-                }
-            else:
+                row = [x - q * y for x, y in zip(row, base)]
+            elif insert:
                 g, u, w = _ext_gcd(a, b)
-                new_base = {
-                    c: u * base.get(c, 0) + w * row.get(c, 0)
-                    for c in set(row) | set(base)
-                }
                 qa, qb = a // g, b // g
-                new_row = {
-                    c: qa * row.get(c, 0) - qb * base.get(c, 0)
-                    for c in set(row) | set(base)
-                }
-                self.rows[p] = {c: x for c, x in new_base.items() if x != 0}
-                row = new_row
-
-    def contains(self, vec: dict[int, int]) -> bool:
-        row = {c: x for c, x in vec.items() if x != 0}
-        while True:
-            p = self._pivot(row)
-            if p is None:
-                return True
-            if p not in self.rows:
+                self.rows[p] = [u * y + w * x for x, y in zip(row, base)]
+                row = [qa * x - qb * y for x, y in zip(row, base)]
+            else:
                 return False
-            base = self.rows[p]
-            if row[p] % base[p] != 0:
-                return False
-            q = row[p] // base[p]
-            row = {
-                c: row.get(c, 0) - q * base.get(c, 0) for c in set(row) | set(base)
-            }
+        return True
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -563,9 +544,10 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 @functools.cache
 def _edge_lattice(n: int, kind: str) -> _EchelonLattice:
     g = TorusGraph(n, vector_board(kind))
+    width = len(g.parts()) * n
     lat = _EchelonLattice()
-    for e, _ in g.edges():
-        lat.add({vertex_index(n, v): 1 for v in g.edge_vertices(e)})
+    for _, mask in g.edges():
+        lat.add([mask >> i & 1 for i in range(width)])
     return lat
 
 
@@ -576,5 +558,7 @@ def hnf_oracle(n: int, kind: str, v: SupportVector) -> bool:
     if n > HNF_MAX_N:
         raise PreconditionError("n", f"hnf_oracle supports n <= {HNF_MAX_N}")
     check_vector(v, n, kind)
-    lat = _edge_lattice(n, kind)
-    return lat.contains({vertex_index(n, u): w for u, w in v.entries.items()})
+    row = [0] * (len(v._parts) * n)
+    for u, w in v.entries.items():
+        row[vertex_index(n, u)] = w
+    return _edge_lattice(n, kind).contains(row)

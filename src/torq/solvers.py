@@ -201,10 +201,8 @@ def max_partial_toroidal(n: int, bound: int | None = None) -> int:
         # difference column 1 and sum column n - 1.
         return rec(1, n - m - 1, 1, 2, 1 << top)
 
-    for m in range(n, 0, -1):
-        if feasible(m):
-            return m
-    return 0
+    # feasible(1) holds at once: the queen at (0, 0) is already placed.
+    return next(m for m in range(n, 0, -1) if feasible(m))
 
 
 # --- The punctured-torus classical construction -------------------------
@@ -356,8 +354,6 @@ def wset_candidates(n: int, node_limit: int = 10_000_000) -> Iterator[WSet]:
         # Each octet still to build consumes a distinct pair of elements
         # with sum at most n//2; a two-pointer scan over the free
         # elements counts the largest number of disjoint such pairs.
-        if needed <= 0:
-            return True
         key = used & low
         pairs = pair_counts.get(key)
         if pairs is None:
@@ -541,12 +537,11 @@ def extend_classical(
     queens.
     Raises CapacityError when the restarts or the budget run out,
     PreconditionError("budget_seconds") for a NaN budget, whose deadline
-    would never pass, PreconditionError("seed") for a negative seed and
-    PreconditionError("n") when w is for another n.
+    would never pass, or a negative one, PreconditionError("seed") for a
+    negative seed and PreconditionError("n") when w is for another n.
     """
     check_seed(seed)
-    if math.isnan(budget_seconds):
-        raise PreconditionError("budget_seconds", "must be a number of seconds, got nan")
+    _check_budget(budget_seconds)
     tstar = _punctured(n, w)
     dead = tstar.removed_mask()
     rows = [r for r in range(n) if not dead >> r & 1]
@@ -580,6 +575,13 @@ def extend_classical(
     )
 
 
+def _check_budget(budget_seconds: float) -> None:
+    if math.isnan(budget_seconds) or budget_seconds < 0:
+        raise PreconditionError(
+            "budget_seconds", f"must be a non-negative number of seconds, got {budget_seconds}"
+        )
+
+
 def extend_classical_search(
     n: int,
     budget_seconds: float = 60.0,
@@ -597,12 +599,18 @@ def extend_classical_search(
     with CapacityError after at most one more 50,000-node restart or the
     walk to the next WSet (about 1.4 and 1.8 s at n = 26 and 27, where
     the first WSet takes that long); it never moves on to another WSet.
+    A NaN or negative budget_seconds raises PreconditionError before the
+    walk starts.
     """
     check_seed(seed)
+    _check_budget(budget_seconds)
     deadline = time.monotonic() + budget_seconds
     for w in wset_candidates(n):
+        # The walk can overrun the deadline; a spent budget is 0, which
+        # ends in CapacityError, not a negative one, which is bad input.
+        left = max(0.0, deadline - time.monotonic())
         try:
-            return extend_classical(n, w, budget_seconds=deadline - time.monotonic(), seed=seed)
+            return extend_classical(n, w, budget_seconds=left, seed=seed)
         except CapacityError:
             if time.monotonic() >= deadline:
                 break

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from torq.board import (
     BoardKind,
     Edge,
+    Interval,
     Matching,
     PART_ORDER,
     Part,
@@ -23,8 +24,8 @@ from torq.board import (
 )
 from torq.errors import PreconditionError
 from torq.decomp import _exact_matching_cover, make_config
-from torq.lattice import SignedEdgeSet, SupportVector, edge_shadow, shadow, sv
-from torq.solvers import count_toroidal, max_partial_toroidal
+from torq.lattice import Generator, SignedEdgeSet, SupportVector, edge_shadow, shadow, sv
+from torq.solvers import count_semiqueens, count_toroidal, max_partial_toroidal, verify_placement
 
 from matching_reference import first_matching_reference
 
@@ -205,6 +206,32 @@ def test_board_model_agrees_with_its_vertices(g):
         assert edge_shadow(n, e, g.kind.value).entries == {v: 1 for v in vs}
     live = [sum(v.part is p for v in g.vertices()) for p in g.parts()]
     assert g.matching_bound() == min(live)
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        (lambda: Interval(-1), ValueError, "nonnegative"),
+        (lambda: TorusGraph(5, BoardKind.SEMIQUEENS_TOROIDAL, frozenset({Vertex(Part.D, 0)})),
+         ValueError, "not on this board"),
+        (lambda: TorusGraph(5, removed=frozenset({Vertex(Part.X, 5)})),
+         ValueError, "not on this board"),
+        (lambda: attacks(5, "knight", (0, 0), (1, 2)), ValueError, "unknown mode"),
+        (lambda: Generator("sq-gen", (0, 1, 2), sign=2), ValueError, "sign"),
+        (lambda: count_semiqueens(5, mode="knight"), PreconditionError, "mode"),
+        (lambda: verify_placement(5, [(0, 1), (2, 3), (0, 1)], "toroidal"),
+         PreconditionError, "queens"),
+    ],
+    ids=["interval", "semi-removed-d", "removed-off-board", "attacks-mode", "generator-sign",
+         "semiqueens-mode", "repeated-square"],
+)
+def test_library_guards_reject_bad_input(call, error, match):
+    with pytest.raises(error) as exc:
+        call()
+    if error is PreconditionError:
+        assert exc.value.condition == match
+    else:
+        assert match in str(exc.value)
 
 
 class TestExactCover:

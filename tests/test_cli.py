@@ -410,6 +410,7 @@ class TestErrors:
             (("greedy", "--n", "0"), "n"),
             (("extend", "--n", "0"), "n"),
             (("extend", "--n", "30", "--timeout", "nan"), "budget_seconds"),
+            (("extend", "--n", "30", "--timeout", "-1"), "budget_seconds"),
             (("zsc", "--n", "0"), "n"),
             (("lattice", "check", "--n", "0", "--ones"), "n"),
             (("lattice", "check", "--n", "-2", "--ones"), "n"),

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torq.board import Edge, Part, Vertex, centered
+from torq.board import Edge, Part, TorusGraph, Vertex, centered, vector_board, vertex_index
 from torq.errors import PreconditionError
 from torq.lattice import (
     Generator,
@@ -18,12 +18,14 @@ from torq.lattice import (
     check_sublattice_S,
     edge_shadow,
     expand,
+    _edge_lattice,
     hnf_oracle,
     in_lattice_queens,
     in_sublattice_S,
     shadow,
     sv,
 )
+from hnf_reference import SparseEchelonLattice
 from shadow_reference import checked_shadow
 
 
@@ -341,6 +343,30 @@ class TestQueensLattice:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("kind", ["queens", "semi"])
+    def test_same_basis_as_sparse_reference(self, kind):
+        # The dense rows hold the reference's echelon basis: the same
+        # pivots and the same non-zero entries, for every n the oracle
+        # takes; and both decide membership alike on random vectors.
+        rng = random.Random(29)
+        for n in range(1, 16):
+            g = TorusGraph(n, vector_board(kind))
+            ref = SparseEchelonLattice()
+            for e, _ in g.edges():
+                ref.add({vertex_index(n, v): 1 for v in g.edge_vertices(e)})
+            rows = _edge_lattice(n, kind).rows
+            assert {p: {c: x for c, x in enumerate(row) if x} for p, row in rows.items()} == {
+                p: {c: x for c, x in row.items() if x} for p, row in ref.rows.items()
+            }, n
+            parts = g.parts()
+            for _ in range(20):
+                v = random_member(rng, n, rng.randrange(4), kind) + sv(n, [
+                    (rng.choice(parts), rng.randrange(n), rng.randrange(-2, 3))
+                    for _ in range(rng.randrange(3))
+                ], kind)
+                entries = {vertex_index(n, u): w for u, w in v.entries.items()}
+                assert hnf_oracle(n, kind, v) == ref.contains(entries), (n, v)
+
     def test_rejects_a_vector_of_another_kind_or_side(self):
         queens = sv(5, [(Part.D, 0, 1)])
         for kind, v, field in (("semi", queens, "kind"), ("queens", sv(7, []), "n")):

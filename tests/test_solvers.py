@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
 
@@ -15,6 +16,7 @@ from torq.board import Edge, TorusGraph, verify_matching
 from torq.errors import CapacityError, PreconditionError, VerificationError
 from torq.solvers import (
     WSet,
+    _congruence_holds,
     build_wset,
     count_classical,
     count_semiqueens,
@@ -202,6 +204,33 @@ class TestMonsky:
             max_partial_toroidal(25)
 
 
+def congruence_breakers() -> list:
+    """Tuples for n = 30 that pass every WSet check but the case
+    congruence: the thirteenth WSet wset_candidates(30) yields, with its
+    last octet's difference pair replaced, found by brute force over
+    every such pair.  A pair passes the other checks when a WSet builds
+    with the congruence switched off."""
+    n, case = 30, "even-3div"
+    *head, last = ((1, 2, 3, 30, 14, 7, 6, 29), (4, 11, 20, 25, 26, 13, 10, 27),
+                   (5, 9, 21, 23, 22, 12, 8, 28))
+    used = {e for t in head for e in t} | set(last[:4])
+    out = []
+    for c, d, z in itertools.product(range(1, n + 1), repeat=3):
+        w = z + c - d - n
+        if not (1 <= c - d <= n // 2 and w >= 1 and len(used | {c, d, w, z}) == 24):
+            continue
+        tuples = (*head, (*last[:4], c, d, w, z))
+        try:
+            with mock.patch("torq.solvers._congruence_holds", return_value=True):
+                WSet(n, tuples)
+        except VerificationError:
+            continue
+        if not _congruence_holds(n, case, sum(t[0] + t[1] + t[4] - t[5] for t in tuples)):
+            out.append(tuples)
+    assert out
+    return out
+
+
 class TestWSet:
     @pytest.mark.parametrize(
         "n,case,delta",
@@ -245,7 +274,14 @@ class TestWSet:
         first, *rest = w.tuples
         repeated = ((rest[0][0], *first[1:]), *rest)  # an element used twice
         same_class = ((*first[:4], 14, 5, 8, 29), *rest)  # a diagonal class used twice
-        for bad, why in ((repeated, "24 distinct"), (same_class, "diagonal classes")):
+        off_sum = ((*first[:3], 13, *first[4:]), *rest)  # x + y != a + b + n
+        off_difference = ((*first[:7], 13), *rest)  # w - z != c - d - n
+        routes = [
+            (repeated, "24 distinct"), (same_class, "diagonal classes"),
+            (off_sum, "sum-pair"), (off_difference, "difference-pair"),
+        ]
+        routes += [(bad, "case congruence") for bad in congruence_breakers()]
+        for bad, why in routes:
             for build in (lambda: WSet(30, bad), lambda: dataclasses.replace(w, tuples=bad)):
                 with pytest.raises(VerificationError, match=why):
                     build()
@@ -375,6 +411,19 @@ class TestExtendClassical:
             with pytest.raises(PreconditionError) as exc:
                 run()
             assert exc.value.condition == "budget_seconds"
+
+    @pytest.mark.parametrize("budget", [math.nan, -1.0])
+    def test_bad_budget_rejected_before_the_walk(self, budget):
+        # A negative budget is bad input, not a timeout: both are
+        # rejected before any WSet is enumerated.
+        w = wset_from_tuples(30, EXTENDABLE_TUPLES[30])
+        walk = AssertionError("wset_candidates called")
+        with mock.patch("torq.solvers.wset_candidates", side_effect=walk):
+            for run in (lambda: extend_classical(30, w, budget_seconds=budget),
+                        lambda: extend_classical_search(30, budget_seconds=budget)):
+                with pytest.raises(PreconditionError) as exc:
+                    run()
+                assert exc.value.condition == "budget_seconds"
 
     def test_search_timeout_aborts(self):
         w = wset_from_tuples(30, EXTENDABLE_TUPLES[30])
